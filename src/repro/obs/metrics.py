@@ -136,7 +136,7 @@ SPECS: tuple = (
     MetricSpec("pool.tasks", KIND_COUNTER, "tasks", ("worker",),
                "Tasks dispatched to each persistent pool worker slot "
                "(counts across respawns).", "repro infra"),
-    # -- chaos engine & journal durability (docs/chaos.md) ---------------
+    # -- chaos engine, journal and blob-store durability (docs/chaos.md) -
     MetricSpec("chaos.injected", KIND_COUNTER, "faults", ("kind",),
                "Faults injected in this process by the seeded chaos "
                "engine, by fault kind; the drill state directory is the "
@@ -152,10 +152,11 @@ SPECS: tuple = (
     MetricSpec("journal.checksum_failures", KIND_COUNTER, "records", (),
                "Complete journal records dropped because their "
                "per-record checksum did not verify.", "repro infra"),
-    MetricSpec("journal.sidecar_quarantined", KIND_COUNTER, "files", (),
-               "Unreadable or digest-mismatched sidecar result pickles "
-               "quarantined to *.corrupt; the point re-runs on resume.",
-               "repro infra"),
+    MetricSpec("blob.quarantined", KIND_COUNTER, "files", ("namespace",),
+               "Damaged blobs (bad magic, digest mismatch or undecodable "
+               "payload) quarantined to *.corrupt, by store namespace "
+               "(simcache/sidecar/serve); the read is a miss and the "
+               "result is recomputed.", "repro infra"),
     # -- job service (docs/serve.md) -------------------------------------
     MetricSpec("serve.submitted", KIND_COUNTER, "requests", (),
                "Job submissions accepted by the service, regardless of "
@@ -172,10 +173,6 @@ SPECS: tuple = (
     MetricSpec("serve.completed", KIND_COUNTER, "jobs", ("state",),
                "Jobs reaching a terminal lifecycle state, by state "
                "(done, failed, cancelled).", "repro infra"),
-    MetricSpec("serve.store_quarantined", KIND_COUNTER, "files", (),
-               "Corrupt CAS result files (bad checksum, decode failure, "
-               "or key mismatch) quarantined to *.corrupt; the config "
-               "re-runs on next submission.", "repro infra"),
     MetricSpec("serve.store_evicted", KIND_COUNTER, "results", (),
                "CAS results (and their journals/sidecars/spans) evicted "
                "by the --store-max-bytes LRU sweep.", "repro infra"),

@@ -10,17 +10,12 @@ hours apart — address the same result, and a simulator change
 (``CODE_VERSION`` bump) invalidates every stored result at once, the
 same rule the sim-cache and baseline fingerprints already follow.
 
-On disk the store mirrors the journal-v2 durability posture:
-
-* every result file is a checksummed envelope (``sum`` = truncated
-  sha256 over the canonical JSON of the rest, via
-  :func:`repro.sim.journal.record_checksum`);
-* writes are atomic — unique temp name in the same directory, then
-  ``os.replace``;
-* a file that fails decode or checksum on load is **quarantined** (moved
-  aside to ``<name>.corrupt``), counted on ``serve.store_quarantined``,
-  and treated as a miss — corruption costs a re-run, never a crash or a
-  silently wrong cache hit.
+On disk every result is a verified blob of :mod:`repro.sim.cas`
+(namespace ``serve``) whose payload is the canonical JSON of the result:
+writes are atomic, and a file that fails its digest or does not decode
+is **quarantined** (moved aside to ``<key>.corrupt``), counted on
+``blob.quarantined{namespace}`` and treated as a miss — corruption
+costs a re-run, never a crash or a silently wrong cache hit.
 
 The store can be **bounded** (``max_bytes``): when the total footprint
 exceeds the bound, whole entries — result envelope plus journal plus
@@ -32,7 +27,7 @@ its next submission, so eviction costs time, never correctness.
 Layout under the store root::
 
     store/
-      results/<key>.json       checksummed result envelopes (the CAS)
+      results/<key>.json       verified result blobs (the CAS)
       journals/<key>.jsonl     execution journal per job (report source)
       journals/<key>-spans/    span spills of the job's trace
 """
@@ -43,16 +38,11 @@ import hashlib
 import json
 import os
 import shutil
-import uuid
-import warnings
 from pathlib import Path
 from typing import Optional
 
 from repro.obs.trace import spans_dir_for
-from repro.sim.journal import record_checksum
-
-ENVELOPE_KIND = "repro.serve_result"
-ENVELOPE_SCHEMA = 1
+from repro.sim import cas
 
 #: hex digits kept of the sha256 key — same truncation as the sim cache.
 KEY_LEN = 32
@@ -91,7 +81,8 @@ class ResultStore:
         self.results_dir.mkdir(parents=True, exist_ok=True)
         self.journals_dir.mkdir(parents=True, exist_ok=True)
         self._registry = registry
-        self._warned_corrupt = False
+        self._blobs = cas.BlobStore(self.results_dir, "serve", ".json",
+                                    registry=registry)
         self.max_bytes = max_bytes
         # Startup GC: a restarted service honours a newly-lowered bound
         # (or one it crashed past) before serving anything.
@@ -100,7 +91,7 @@ class ResultStore:
     # -- paths -----------------------------------------------------------
 
     def result_path(self, key: str) -> Path:
-        return self.results_dir / f"{key}.json"
+        return self._blobs.path(key)
 
     def journal_path(self, key: str) -> Path:
         return self.journals_dir / f"{key}.jsonl"
@@ -108,76 +99,23 @@ class ResultStore:
     # -- CAS operations --------------------------------------------------
 
     def save(self, key: str, payload: dict) -> Path:
-        """Store *payload* under *key*, atomically, with a checksum.
-
-        The envelope carries the key so a file moved to the wrong name
-        is detectable, and the checksum so a torn or bit-flipped file
-        is detectable.
-        """
-        envelope = {
-            "kind": ENVELOPE_KIND,
-            "schema": ENVELOPE_SCHEMA,
-            "key": key,
-            "payload": payload,
-        }
-        envelope["sum"] = record_checksum(envelope)
-        target = self.result_path(key)
-        tmp = target.with_name(
-            f"{target.stem}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-        )
-        try:
-            tmp.write_text(
-                json.dumps(envelope, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            os.replace(tmp, target)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        """Store *payload* under *key*, atomically and verifiably."""
+        target = self._blobs.put(key, json.dumps(
+            payload, sort_keys=True, separators=(",", ":")).encode())
         self._evict(protect=key)
         return target
 
     def load(self, key: str) -> Optional[dict]:
-        """The stored payload for *key*, or ``None``.
-
-        Undecodable / checksum-failing / mis-keyed files are quarantined
-        and reported as a miss — the caller re-runs the job and the
-        fresh result overwrites nothing (the corrupt file was moved
-        aside).
-        """
-        path = self.result_path(key)
-        if not path.exists():
+        """The stored payload for *key*; ``None`` when absent or
+        damaged (then quarantined, so the re-run job can store afresh)."""
+        payload = self._blobs.get(key, json.loads)
+        if payload is None:
             return None
         try:
-            envelope = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(envelope, dict):
-                raise ValueError("envelope is not an object")
-            claimed = envelope.get("sum")
-            actual = record_checksum(envelope)
-            if claimed != actual:
-                raise ValueError(
-                    f"checksum mismatch: claimed {claimed!r}, "
-                    f"computed {actual!r}"
-                )
-            if envelope.get("kind") != ENVELOPE_KIND:
-                raise ValueError(f"unexpected kind {envelope.get('kind')!r}")
-            if envelope.get("key") != key:
-                raise ValueError(
-                    f"envelope key {envelope.get('key')!r} != file key "
-                    f"{key!r}"
-                )
-            payload = envelope["payload"]
-        except (ValueError, KeyError, OSError) as exc:
-            self._quarantine(path, exc)
-            return None
-        try:
-            os.utime(path)  # LRU touch: a hit is a use
+            os.utime(self.result_path(key))  # LRU touch: a hit is a use
         except OSError:
             pass
         return payload
-
-    def has(self, key: str) -> bool:
-        return self.result_path(key).exists()
 
     def keys(self) -> list[str]:
         return sorted(p.stem for p in self.results_dir.glob("*.json"))
@@ -249,33 +187,8 @@ class ResultStore:
                 ).inc()
         return evicted
 
-    # -- corruption handling ---------------------------------------------
-
-    def _quarantine(self, path: Path, exc: Exception) -> None:
-        quarantined = path.with_name(path.name + ".corrupt")
-        try:
-            os.replace(path, quarantined)
-        except OSError:
-            pass
-        if self._registry is not None:
-            from repro.obs.metrics import spec_for
-
-            self._registry.register(spec_for("serve.store_quarantined")).inc()
-        if not self._warned_corrupt:
-            self._warned_corrupt = True
-            warnings.warn(
-                f"repro serve: quarantined corrupt result file {path.name} "
-                f"({exc}); the job will be re-run on next submission. "
-                "Further corrupt files in this store will be quarantined "
-                "silently (counted on serve.store_quarantined).",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
 
 __all__ = [
-    "ENVELOPE_KIND",
-    "ENVELOPE_SCHEMA",
     "KEY_LEN",
     "ResultStore",
     "cas_key",

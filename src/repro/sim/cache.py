@@ -4,7 +4,8 @@ A full-suite figure needs ~8 configurations x 20 workloads; benchmarks
 live in separate processes, so results are cached on disk keyed by the
 exact (workload spec, system config) pair plus a code-version stamp.
 Bump :data:`CODE_VERSION` whenever simulator semantics change — stale
-cache entries are then ignored.
+cache entries are then ignored.  Entries are verified blobs of
+:mod:`repro.sim.cas`, so a damaged one is re-simulated, never read.
 
 Set the environment variable ``REPRO_NO_CACHE=1`` to disable caching.
 """
@@ -12,16 +13,14 @@ Set the environment variable ``REPRO_NO_CACHE=1`` to disable caching.
 from __future__ import annotations
 
 import hashlib
-import logging
 import os
 import pickle
-import uuid
 from pathlib import Path
 from typing import Callable, Optional
 
 from repro.config import SystemConfig
 from repro.perf.stats import RunResult
-from repro.sim import chaos
+from repro.sim import cas, chaos
 from repro.workloads.base import WorkloadSpec
 
 #: Bump on any change that alters simulation results (or the shape of
@@ -29,8 +28,6 @@ from repro.workloads.base import WorkloadSpec
 #: change under the result-affecting packages, however innocuous
 #: (v11: import reordering in numa/system.py for the style gate).
 CODE_VERSION = 11
-
-log = logging.getLogger(__name__)
 
 _DEFAULT_DIR = Path(__file__).resolve().parents[3] / ".simcache"
 
@@ -49,76 +46,45 @@ def cache_enabled() -> bool:
 
 
 def _key(spec: WorkloadSpec, config: SystemConfig) -> str:
-    payload = f"v{CODE_VERSION}|{spec!r}|{config!r}".encode()
+    # The envelope magic is part of the basis: an entry written in an
+    # older envelope format is a plain miss, not a quarantine.
+    payload = (f"v{CODE_VERSION}|{cas.MAGIC.decode()}|{spec!r}|{config!r}"
+               .encode())
     return hashlib.sha256(payload).hexdigest()[:32]
 
 
-def load(spec: WorkloadSpec, config: SystemConfig) -> Optional[RunResult]:
-    """Return a cached result, or None when absent/disabled/corrupt.
+def _blobs() -> cas.BlobStore:
+    return cas.BlobStore(cache_dir(), "simcache", ".pkl")
 
-    A corrupt entry (truncated write, unpicklable payload, wrong type)
-    is quarantined to ``<key>.corrupt`` rather than left in place: left
-    alone it would fail to load — and therefore silently re-miss and
-    re-simulate — forever, while deleting it would destroy the evidence.
-    """
-    if not cache_enabled():
-        return None
-    path = cache_dir() / f"{_key(spec, config)}.pkl"
-    if not path.exists():
-        return None
-    try:
-        with path.open("rb") as f:
-            obj = pickle.load(f)
-    except FileNotFoundError:
-        return None  # raced with clear(); an ordinary miss
-    except Exception as exc:
-        # Unpickling can raise nearly anything on a corrupt payload;
-        # every such failure is the same condition: a bad entry.
-        _quarantine(path, exc)
-        return None
+
+def _decode(payload: bytes) -> RunResult:
+    obj = pickle.loads(payload)
     if not isinstance(obj, RunResult):
-        _quarantine(
-            path,
-            TypeError(f"cached object is {type(obj).__name__}, "
-                      f"not RunResult"),
-        )
-        return None
+        raise TypeError(f"cached object is {type(obj).__name__}, "
+                        f"not RunResult")
     return obj
 
 
-def _quarantine(path: Path, exc: Exception) -> None:
-    """Move a corrupt cache entry aside and warn (returns it to a miss)."""
-    target = path.with_suffix(".corrupt")
-    try:
-        path.replace(target)
-    except OSError:
-        return  # another process already moved/removed it
-    log.warning(
-        "quarantined corrupt sim-cache entry %s -> %s (%s: %s); "
-        "the run will be re-simulated",
-        path.name, target.name, type(exc).__name__, exc,
-    )
+def load(spec: WorkloadSpec, config: SystemConfig) -> Optional[RunResult]:
+    """Return a cached result, or None when absent/disabled/damaged.
+
+    A damaged entry (failed digest, unpicklable payload, wrong type) is
+    quarantined to ``<key>.corrupt``: the evidence stays, the slot frees.
+    """
+    if not cache_enabled():
+        return None
+    return _blobs().get(_key(spec, config), _decode)
 
 
 def store(spec: WorkloadSpec, config: SystemConfig, result: RunResult) -> None:
     if not cache_enabled():
         return
-    d = cache_dir()
-    d.mkdir(parents=True, exist_ok=True)
-    path = d / f"{_key(spec, config)}.pkl"
-    # Unique tmp name: parallel processes computing the same key must not
-    # write into (or rename away) each other's half-written file.  The
-    # final rename is atomic, so concurrent stores race benignly — last
-    # writer wins with a complete file either way.
-    tmp = d / f"{path.stem}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-    try:
-        with tmp.open("wb") as f:
-            pickle.dump(result, f, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp.replace(path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    path = _blobs().put(
+        _key(spec, config),
+        pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
+    )
     # Chaos drill hook (docs/chaos.md): a simcache_corrupt event rots
-    # the entry at rest, which the quarantine path in load() must turn
+    # the entry at rest, which the verified read in load() must turn
     # back into a clean re-simulated miss.
     chaos.fire(chaos.SITE_SIMCACHE_STORE, getattr(spec, "name", ""),
                path=path)
@@ -141,16 +107,7 @@ def cached(
 def clear() -> int:
     """Delete every cache entry; returns how many files were removed.
 
-    Also sweeps ``*.tmp`` leftovers from stores interrupted mid-write
-    (killed processes can orphan their uniquely named tmp files) and
+    Also sweeps ``*.tmp`` leftovers of stores interrupted mid-write and
     ``*.corrupt`` quarantine files.
     """
-    d = cache_dir()
-    if not d.exists():
-        return 0
-    n = 0
-    for pattern in ("*.pkl", "*.tmp", "*.corrupt"):
-        for p in d.glob(pattern):
-            p.unlink(missing_ok=True)
-            n += 1
-    return n
+    return _blobs().clear()

@@ -9,8 +9,8 @@ promise gets attacked instead of assumed:
 * a :class:`ChaosPlan` maps a seed to a reproducible schedule of
   :class:`FaultEvent` s — worker SIGKILL, hang, slowdown, raised
   exception, shared-memory transport failure, torn journal tail,
-  ENOSPC on journal append, truncated/corrupted sidecar pickles and
-  sim-cache corruption;
+  ENOSPC on journal append, truncated or bit-flipped sidecar pickles
+  and a bit-flipped sim-cache entry;
 * a :class:`ChaosEngine` arms the plan across *every process of a
   batch* (parent and forked workers alike) through a single hook,
   :func:`fire`, that the pool, journal and sim-cache call at their
@@ -21,7 +21,8 @@ promise gets attacked instead of assumed:
   sweep fault-free and serially, then the same sweep under a plan —
   SIGKILLing the whole batch mid-flight between ``--resume`` rounds —
   and asserts the end-state invariants: results byte-identical to the
-  reference, every key terminal in the journal, no orphan tmp files,
+  reference, every sim-cache entry either a miss or equal to the
+  reference's, every key terminal in the journal, no orphan tmp files,
   and an injection record consistent with the plan.
 
 Arming a plan is environment-driven so subprocesses inherit it:
@@ -45,6 +46,7 @@ import errno
 import hashlib
 import json
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -92,8 +94,8 @@ KIND_SHM_FAIL = "shm_fail"                  # break shm export (pipe fallback)
 KIND_TORN_TAIL = "journal_torn_tail"        # half a line, fsync, SIGKILL
 KIND_ENOSPC = "journal_enospc"              # ENOSPC on journal append
 KIND_SIDECAR_TRUNCATE = "sidecar_truncate"  # cut the stored sidecar short
-KIND_SIDECAR_CORRUPT = "sidecar_corrupt"    # flip bytes inside the sidecar
-KIND_SIMCACHE_CORRUPT = "simcache_corrupt"  # flip bytes in the cache entry
+KIND_SIDECAR_CORRUPT = "sidecar_corrupt"    # flip one bit of the sidecar
+KIND_SIMCACHE_CORRUPT = "simcache_corrupt"  # flip one bit of the cache entry
 
 KIND_TO_SITE = {
     KIND_WORKER_KILL: SITE_TASK,
@@ -112,8 +114,9 @@ FAULT_KINDS = tuple(KIND_TO_SITE)
 
 #: The kinds every generated plan is guaranteed to schedule — the
 #: acceptance drill of docs/chaos.md: kill a worker mid-batch, tear the
-#: journal tail, corrupt one sidecar.
-REQUIRED_KINDS = (KIND_WORKER_KILL, KIND_TORN_TAIL, KIND_SIDECAR_CORRUPT)
+#: journal tail, flip a bit of one sidecar and of one sim-cache entry.
+REQUIRED_KINDS = (KIND_WORKER_KILL, KIND_TORN_TAIL, KIND_SIDECAR_CORRUPT,
+                  KIND_SIMCACHE_CORRUPT)
 
 #: Default sleep lengths (seconds) when an event carries no ``param``.
 DEFAULT_HANG_S = 12.0
@@ -187,7 +190,7 @@ class ChaosPlan:
     ) -> "ChaosPlan":
         """Derive a schedule from *seed*.
 
-        Always schedules the :data:`REQUIRED_KINDS` trio with small
+        Always schedules the :data:`REQUIRED_KINDS` with small
         ``nth`` values (so they trigger even in a short batch), then
         *extra_events* further events drawn from the remaining kinds,
         optionally scoped to one of *keys*.
@@ -197,6 +200,7 @@ class ChaosPlan:
             FaultEvent(KIND_WORKER_KILL, "", rng.randint(1, 2)),
             FaultEvent(KIND_TORN_TAIL, "", rng.randint(2, 5)),
             FaultEvent(KIND_SIDECAR_CORRUPT, "", rng.randint(1, 2)),
+            FaultEvent(KIND_SIMCACHE_CORRUPT, "", rng.randint(1, 2)),
         ]
         optional = [k for k in FAULT_KINDS if k not in REQUIRED_KINDS]
         for _ in range(max(0, extra_events)):
@@ -408,7 +412,11 @@ class ChaosEngine:
 
 
 def _damage_file(path: Path, truncate: bool, seed: int) -> None:
-    """Deterministically truncate or bit-rot a file at rest."""
+    """Deterministically truncate a file at rest or flip one seeded bit.
+
+    A single flipped bit is the silent case: most of them still unpickle,
+    into different numbers, unless the read verifies a digest.
+    """
     try:
         data = path.read_bytes()
     except OSError:
@@ -418,11 +426,11 @@ def _damage_file(path: Path, truncate: bool, seed: int) -> None:
     if truncate:
         damaged = data[: len(data) // 2]
     else:
-        noise = hashlib.sha256(f"chaos:{seed}".encode()).digest()
-        pos = len(data) // 3
-        damaged = (data[:pos] + noise + data[pos + len(noise):])[: len(data)]
-        if damaged == data:  # pathological collision; force a change
-            damaged = bytes([data[0] ^ 0xFF]) + data[1:]
+        draw = hashlib.sha256(f"chaos:{seed}".encode()).digest()
+        bit = int.from_bytes(draw[:8], "big") % (len(data) * 8)
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        damaged = bytes(flipped)
     try:
         path.write_bytes(damaged)
     except OSError:
@@ -613,8 +621,9 @@ class DrillReport:
                 )
         if self.ok:
             lines.append(
-                "PASS: results byte-identical to the fault-free serial "
-                "reference; every key terminal; no orphans"
+                "PASS: results and sim-cache byte-identical to the "
+                "fault-free serial reference; every key terminal; no "
+                "orphans"
             )
         else:
             lines.append(f"FAIL: {len(self.problems)} invariant violation(s)")
@@ -666,7 +675,7 @@ def run_drill(
     root.mkdir(parents=True, exist_ok=True)
     workloads = tuple(workloads)
     if len(workloads) < 2:
-        # The required-trio convergence argument (every key completing
+        # The required-kinds convergence argument (every key completing
         # implies enough task/store/append ticks for the small nth
         # values) needs at least two points.
         raise ValueError("a drill needs at least two workloads")
@@ -779,12 +788,12 @@ def run_drill(
             kill_after=kill_after,
         )
 
-    # A plan can starve its own required trio: an early ENOSPC (or two)
+    # A plan can starve its required kinds: an early ENOSPC (or two)
     # can abort every scheduled round before enough sidecar stores have
     # accumulated for a small-nth event to reach its turn.  Keep
     # running un-killed, resumed chaos rounds — each makes forward
     # progress on the remaining keys, ticking the fault sites — until
-    # the trio has fired (bounded; the invariant check flags a plan
+    # they have all fired (bounded; the invariant check flags a plan
     # that still failed to deliver).
     for extra in range(4):
         fired = {
@@ -814,6 +823,14 @@ def run_drill(
 
     _check_invariants(report, plan, state_dir, keys,
                       ref_journal, chaos_journal)
+    # A flipped bit in the sim-cache may cost a re-simulation, never a
+    # wrong result: each entry misses or equals the reference's.
+    ref_cache = _cached_results(root / "cache-reference", system, workloads)
+    for w, got in _cached_results(chaos_cache, system, workloads).items():
+        if got is not None and got != ref_cache[w]:
+            report.problems.append(
+                f"sim-cache entry for {system}/{w} loads as a result "
+                f"other than the fault-free reference's")
     if trace:
         _flight_record(report, chaos_journal)
     return report
@@ -863,6 +880,28 @@ def _flight_record(report: DrillReport, chaos_journal: Path) -> None:
             f"{damaged} damaged span record(s) in the spill — a crash "
             "may tear the tail, never the interior"
         )
+
+
+def _cached_results(cache_dir: Path, system: str,
+                    workloads: Sequence[str]) -> dict:
+    """Each drill point as loaded from *cache_dir* through the sim-cache's
+    own verified read, re-pickled (None for a miss)."""
+    from repro.sim import cache
+    from repro.sim.experiments import config_for
+    from repro.workloads import suite
+
+    saved = {var: os.environ.pop(var, None)
+             for var in ("REPRO_CACHE_DIR", "REPRO_NO_CACHE")}
+    os.environ["REPRO_CACHE_DIR"] = str(cache_dir)
+    try:
+        hits = {w: cache.load(suite.get(w), config_for(system))
+                for w in workloads}
+    finally:
+        del os.environ["REPRO_CACHE_DIR"]
+        os.environ.update({k: v for k, v in saved.items() if v is not None})
+    return {w: hit if hit is None
+            else pickle.dumps(hit, pickle.HIGHEST_PROTOCOL)
+            for w, hit in hits.items()}
 
 
 def _check_invariants(

@@ -34,21 +34,22 @@ Durability model (drilled end to end by ``python -m repro chaos``, see
   broken line anywhere *else* — or a complete line failing its
   checksum — means something other than a crash touched the file, so it
   is skipped **loudly**: a one-shot ``RuntimeWarning`` plus counters.
-* **Sidecar digests.**  Results are pickled to
-  ``<journal-stem>-results/<sha256(key)[:24]>.pkl`` wrapped in a small
-  envelope: magic, sha256 of the payload, payload.  ``load_result``
-  verifies the digest and quarantines any unreadable or tampered
-  sidecar to ``*.corrupt`` (one-shot warning, counted) — mirroring the
-  sim-cache quarantine — so resume re-runs the point instead of
-  resuming from garbage.  Bare-pickle v1 sidecars (no magic) still load.
+* **Verified sidecars.**  Results are pickled to
+  ``<journal-stem>-results/<sha256(key)[:24]>.pkl`` as blobs of
+  :mod:`repro.sim.cas` (namespace ``sidecar``).  ``load_result``
+  verifies every read and quarantines any unreadable or tampered
+  sidecar to ``*.corrupt`` (one-shot warning, counted on
+  ``blob.quarantined{namespace}``), so resume re-runs the point
+  instead of resuming from garbage.
 * **Opt-in fsync.**  ``Journal(..., fsync=True)`` — or
   ``REPRO_JOURNAL_FSYNC=1`` — fsyncs every append and sidecar store,
   trading throughput for power-loss durability.  The default (flush
   only) already survives process crashes, which is what the drill
   attacks.
 
-v1 journals (no ``sum`` field) read back unchanged: checksums are only
-verified on records that carry one.
+A line without a ``sum`` field is damaged like one whose checksum
+fails: every writer stamps one, so its absence means the line was not
+written by this journal.
 
 Reads are **scan-cached**: :meth:`Journal.records`, :meth:`Journal.meta`
 and :meth:`Journal.completed_keys` share one parsed snapshot keyed on
@@ -63,13 +64,12 @@ import json
 import os
 import pickle
 import time
-import uuid
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from repro.sim import chaos
+from repro.sim import cas, chaos
 
 #: Stamped into ``meta`` records; bump on incompatible record changes.
 JOURNAL_SCHEMA_VERSION = 2
@@ -77,17 +77,12 @@ JOURNAL_SCHEMA_VERSION = 2
 #: Record field carrying the integrity checksum (short: it is on every line).
 CHECKSUM_FIELD = "sum"
 
-#: Sidecar envelope: magic + 32-byte payload sha256 + pickled payload.
-SIDECAR_MAGIC = b"RJS2"
-
 #: Set to ``1`` to fsync appends and sidecar stores (power-loss safety).
 FSYNC_ENV = "REPRO_JOURNAL_FSYNC"
 
-# One-shot warning latches (process-wide, matching the sim-cache and
-# digest-failure conventions: the first incident is loud, the rest are
-# counted).
+# One-shot warning latch (process-wide: the first incident is loud, the
+# rest are counted).
 _warned_corrupt_records = False
-_warned_sidecar_quarantine = False
 
 
 def _key_digest(key: str) -> str:
@@ -106,8 +101,8 @@ def _intact_record(line: str) -> Optional[tuple[dict, Optional[str]]]:
 
     Returns ``(record, None)`` for an intact record, ``(None, why)``
     for a damaged line (``why`` in ``undecodable`` / ``malformed`` /
-    ``checksum``).  v1 records (no checksum field) are intact by
-    definition — there is nothing to verify.
+    ``checksum``).  A record without a checksum field fails its
+    checksum.
     """
     try:
         parsed = json.loads(line)
@@ -116,9 +111,8 @@ def _intact_record(line: str) -> Optional[tuple[dict, Optional[str]]]:
     if not (isinstance(parsed, dict) and "event" in parsed
             and "key" in parsed):
         return (None, "malformed")
-    if CHECKSUM_FIELD in parsed:
-        if record_checksum(parsed) != parsed[CHECKSUM_FIELD]:
-            return (None, "checksum")
+    if parsed.get(CHECKSUM_FIELD) != record_checksum(parsed):
+        return (None, "checksum")
     return (parsed, None)
 
 
@@ -154,6 +148,8 @@ class Journal:
             fsync if fsync is not None
             else os.environ.get(FSYNC_ENV, "") == "1"
         )
+        self._sidecars = cas.BlobStore(self.results_dir, "sidecar", ".pkl",
+                                       registry=registry, fsync=self._fsync)
         self._scan_cache: Optional[tuple[tuple[int, int], JournalScan]] = None
         self._tail_checked = False
         self._torn_counted = False
@@ -228,31 +224,13 @@ class Journal:
     def store_result(self, key: str, result: Any) -> None:
         """Pickle a completed point's result for later resumption.
 
-        The payload is wrapped in the digest envelope (see module
-        docstring) and written atomically via a *uniquely named* tmp
-        file: two batches completing the same key concurrently must
-        never share a tmp path (a fixed ``.tmp`` suffix lets writer B
-        truncate the file writer A is about to rename, or rename it out
-        from under A entirely) — same discipline as the sim-cache
-        store.  A SIGKILL mid-write orphans at most the tmp file, which
+        A SIGKILL mid-write orphans at most a tmp file, which
         :meth:`sweep_orphans` removes at the next batch start.
         """
-        self.results_dir.mkdir(parents=True, exist_ok=True)
-        target = self.results_dir / f"{_key_digest(key)}.pkl"
-        tmp = self.results_dir / (
-            f"{target.stem}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
+        target = self._sidecars.put(
+            _key_digest(key),
+            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
         )
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = SIDECAR_MAGIC + hashlib.sha256(payload).digest() + payload
-        try:
-            with tmp.open("wb") as f:
-                f.write(blob)
-                if self._fsync:
-                    f.flush()
-                    os.fsync(f.fileno())
-            tmp.replace(target)
-        finally:
-            tmp.unlink(missing_ok=True)
         chaos.fire(chaos.SITE_SIDECAR_STORE, key, path=target)
 
     def sweep_orphans(self) -> int:
@@ -264,16 +242,7 @@ class Journal:
         its write is re-run) but noisy.  The runner calls this before
         submitting work.
         """
-        if not self.results_dir.exists():
-            return 0
-        swept = 0
-        for tmp in sorted(self.results_dir.glob("*.tmp")):
-            try:
-                tmp.unlink()
-            except OSError:
-                continue
-            swept += 1
-        return swept
+        return self._sidecars.sweep_tmp()
 
     # ------------------------------------------------------------------
     # Reading
@@ -383,17 +352,10 @@ class Journal:
         return {k for k, ev in state.items() if ev == "done"}
 
     def load_result_bytes(self, key: str) -> Optional[bytes]:
-        """Digest-verified pickled payload bytes; None when absent or
+        """Verified pickled payload bytes; None when absent or
         quarantined.  The byte form is what the chaos drill compares
         across runs — equality here is the bit-identity contract."""
-        target = self.results_dir / f"{_key_digest(key)}.pkl"
-        if not target.exists():
-            return None
-        try:
-            return self._read_verified(target)
-        except Exception as exc:
-            self._quarantine_sidecar(target, exc)
-            return None
+        return self._sidecars.get(_key_digest(key))
 
     def load_result(self, key: str) -> Optional[Any]:
         """Unpickle a stored result; None when absent or quarantined.
@@ -401,48 +363,9 @@ class Journal:
         Any unreadable sidecar — bad envelope, digest mismatch,
         unpicklable payload — is moved to ``*.corrupt`` (evidence
         preserved, the point re-runs on resume) with a one-shot warning
-        and a counted metric, mirroring the sim-cache quarantine.
+        and a counted metric.
         """
-        target = self.results_dir / f"{_key_digest(key)}.pkl"
-        if not target.exists():
-            return None
-        try:
-            return pickle.loads(self._read_verified(target))
-        except Exception as exc:
-            self._quarantine_sidecar(target, exc)
-            return None
-
-    def _read_verified(self, target: Path) -> bytes:
-        data = target.read_bytes()
-        if data[:len(SIDECAR_MAGIC)] != SIDECAR_MAGIC:
-            if data[:1] == b"\x80":
-                return data  # v1 sidecar: bare pickle, no digest
-            raise ValueError("unrecognized sidecar format")
-        header_len = len(SIDECAR_MAGIC) + 32
-        digest = data[len(SIDECAR_MAGIC):header_len]
-        payload = data[header_len:]
-        if hashlib.sha256(payload).digest() != digest:
-            raise ValueError("sidecar payload digest mismatch")
-        return payload
-
-    def _quarantine_sidecar(self, target: Path, exc: Exception) -> None:
-        global _warned_sidecar_quarantine
-        quarantine = target.with_suffix(".corrupt")
-        try:
-            target.replace(quarantine)
-        except OSError:
-            return  # another process already moved/removed it
-        self._count("journal.sidecar_quarantined", 1)
-        if not _warned_sidecar_quarantine:
-            _warned_sidecar_quarantine = True
-            warnings.warn(
-                f"quarantined unreadable journal sidecar {target.name} -> "
-                f"{quarantine.name} ({type(exc).__name__}: {exc}); the "
-                f"point will re-run on resume.  Further quarantines are "
-                f"counted silently.",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+        return self._sidecars.get(_key_digest(key), pickle.loads)
 
     # ------------------------------------------------------------------
     # Accounting
@@ -471,6 +394,5 @@ __all__ = [
     "JOURNAL_SCHEMA_VERSION",
     "Journal",
     "JournalScan",
-    "SIDECAR_MAGIC",
     "record_checksum",
 ]

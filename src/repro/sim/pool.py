@@ -273,9 +273,13 @@ def result_payload(message: tuple) -> bytes:
 
 def _worker_main(
     conn, affinity: Optional[tuple[int, ...]], shm_min: int,
-    trace_spec: Optional[dict] = None,
+    trace_spec: Optional[dict] = None, inherited: Sequence = (),
 ) -> None:
     """Long-lived worker loop: pin, then serve tasks until ``stop``/EOF.
+
+    *inherited* are the parent-side pipe ends a forked worker holds
+    copies of; while one stays open, ``recv`` never sees EOF when the
+    parent dies, and the worker would outlive it forever.
 
     With *trace_spec* (``{"dir", "slot", "node"}``) each dispatched task
     that carries a trace context gets a ``task`` span in this worker's
@@ -283,6 +287,8 @@ def _worker_main(
     (and before the chaos fault site), so a SIGKILL mid-kernel still
     leaves the victim's span on disk for the flight recorder.
     """
+    for parent_end in inherited:
+        parent_end.close()
     _apply_affinity(affinity)
     spill = None
     while True:
@@ -292,10 +298,7 @@ def _worker_main(
             break  # parent gone
         if message[0] != MSG_RUN:
             break
-        # Messages are 4-tuples, or 5-tuples when the dispatcher attached
-        # a trace context — old-shape senders keep working unchanged.
-        _, key, fn, args = message[:4]
-        wire = message[4] if len(message) > 4 else None
+        _, key, fn, args, wire = message
         ctx = None
         if wire is not None and trace_spec is not None:
             # Imported lazily: untraced pools never touch the obs layer.
@@ -427,9 +430,17 @@ class WorkerPool:
         if self._trace_dir is not None:
             trace_spec = {"dir": self._trace_dir, "slot": worker.index,
                           "node": worker.node}
+        # Only a forked child inherits the parent-side ends.
+        inherited = []
+        if self._ctx.get_start_method() == "fork":
+            inherited = [parent_conn] + [
+                w.conn for w in self.workers
+                if w.conn is not None and not w.conn.closed
+            ]
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, worker.affinity, self._shm_min, trace_spec),
+            args=(child_conn, worker.affinity, self._shm_min, trace_spec,
+                  inherited),
             daemon=True,
         )
         process.start()
@@ -451,10 +462,7 @@ class WorkerPool:
         worker opens a ``task`` span under it in its spill file.
         """
         try:
-            if span is None:
-                worker.conn.send((MSG_RUN, key, fn, args))
-            else:
-                worker.conn.send((MSG_RUN, key, fn, args, span))
+            worker.conn.send((MSG_RUN, key, fn, args, span))
         except (OSError, ValueError):
             return False
         worker.tasks_started += 1

@@ -78,6 +78,15 @@ def _no_sim_cache(monkeypatch):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
 
 
+@pytest.fixture(autouse=True)
+def _fresh_store_warnings(monkeypatch):
+    """The blob store warns once per namespace and process; every test
+    starts with no namespace warned yet."""
+    from repro.sim import cas
+
+    monkeypatch.setattr(cas, "_warned", set())
+
+
 __all__ = [
     "GpuConfig",
     "LinkConfig",

@@ -16,7 +16,7 @@ Three historical bugs are pinned down here:
 
 from __future__ import annotations
 
-import pickle
+import os
 
 import pytest
 
@@ -172,7 +172,7 @@ def test_interrupted_store_cleans_its_tmp(sim_cache_dir, monkeypatch):
     def boom(*a, **kw):
         raise OSError("disk full")
 
-    monkeypatch.setattr(pickle, "dump", boom)
+    monkeypatch.setattr(os, "replace", boom)
     with pytest.raises(OSError):
         cache.store(spec, cfg, result)
     # The uniquely named tmp file was removed; no entry was published.

@@ -190,9 +190,6 @@ class TestFaultKinds:
     )
     def test_sidecar_damage_is_quarantined_on_load(self, tmp_path, kind,
                                                    monkeypatch):
-        import repro.sim.journal as journal_mod
-
-        monkeypatch.setattr(journal_mod, "_warned_sidecar_quarantine", False)
         registry = MetricsRegistry()
         chaos.install(
             _engine(tmp_path, FaultEvent(kind, "", nth=1),
@@ -205,7 +202,8 @@ class TestFaultKinds:
             assert journal.load_result("k") is None
         assert list(journal.results_dir.glob("*.corrupt"))
         assert not list(journal.results_dir.glob("*.pkl"))
-        assert registry.get("journal.sidecar_quarantined").value() == 1
+        assert registry.get("blob.quarantined").value(
+            namespace="sidecar") == 1
 
     def test_simcache_corrupt_rots_the_entry(self, tmp_path):
         entry = tmp_path / "entry.pkl"

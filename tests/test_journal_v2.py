@@ -1,8 +1,9 @@
 """Tests for the crash-consistent journal v2 (sim/journal.py).
 
 Covers the durability contract: per-record checksums, torn-tail vs
-interior-corruption classification, sidecar digest envelopes with
-quarantine, the shared scan cache, opt-in fsync, v1 compatibility — and
+interior-corruption classification, verified sidecar blobs with
+quarantine, the shared scan cache, opt-in fsync, rejection of legacy
+formats — and
 two real two-process kill drills (SIGKILL mid-store, torn tail then
 ``--resume``), because the promises here are about dying processes, not
 mocked ones.
@@ -23,12 +24,12 @@ import pytest
 
 import repro.sim.journal as journal_mod
 from repro.obs.registry import MetricsRegistry
+from repro.sim import cas
 from repro.sim.journal import (
     CHECKSUM_FIELD,
     FSYNC_ENV,
     JOURNAL_SCHEMA_VERSION,
     Journal,
-    SIDECAR_MAGIC,
     record_checksum,
 )
 from repro.sim.runner import RunnerPolicy, Task, run_tasks
@@ -40,7 +41,6 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 def _fresh_warning_latches(monkeypatch):
     """One-shot warning latches are process-wide; reset per test."""
     monkeypatch.setattr(journal_mod, "_warned_corrupt_records", False)
-    monkeypatch.setattr(journal_mod, "_warned_sidecar_quarantine", False)
 
 
 def _journal(tmp_path, **kwargs) -> Journal:
@@ -91,40 +91,46 @@ class TestChecksums:
         assert registry.get("journal.checksum_failures").value() == 1
 
 
-class TestV1Compatibility:
-    def test_v1_records_without_checksum_still_intact(self, tmp_path):
-        journal = _journal(tmp_path)
-        v1 = [
+class TestNoLegacyFormats:
+    def test_records_without_checksum_are_damaged(self, tmp_path):
+        registry = MetricsRegistry()
+        journal = _journal(tmp_path, registry=registry)
+        unsummed = [
             {"event": "meta", "key": "", "ts": 1.0, "fingerprint": {}},
             {"event": "start", "key": "k", "ts": 2.0, "attempt": 1},
             {"event": "done", "key": "k", "ts": 3.0, "attempt": 1},
         ]
         journal.path.write_text(
-            "".join(json.dumps(r) + "\n" for r in v1), encoding="utf-8"
+            "".join(json.dumps(r) + "\n" for r in unsummed),
+            encoding="utf-8",
         )
-        scan = journal.scan()
-        assert len(scan.records) == 3
-        assert scan.checksum_failures == 0
-        assert journal.completed_keys() == {"k"}
+        with pytest.warns(RuntimeWarning, match="checksum"):
+            scan = journal.scan()
+        assert scan.records == []
+        assert scan.checksum_failures == 3
+        assert journal.completed_keys() == set()
+        assert registry.get("journal.checksum_failures").value() == 3
 
-    def test_v1_bare_pickle_sidecar_loads(self, tmp_path):
+    def test_bare_pickle_sidecar_is_quarantined(self, tmp_path):
         journal = _journal(tmp_path)
         journal.results_dir.mkdir(parents=True)
-        key, value = "k", {"result": 42}
-        digest = journal_mod._key_digest(key)
+        digest = journal_mod._key_digest("k")
         (journal.results_dir / f"{digest}.pkl").write_bytes(
-            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dumps({"result": 42}, protocol=pickle.HIGHEST_PROTOCOL)
         )
-        assert journal.load_result(key) == value
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert journal.load_result("k") is None
+        assert (journal.results_dir / f"{digest}.corrupt").exists()
 
-    def test_mixed_v1_v2_journal(self, tmp_path):
+    def test_unsummed_line_before_summed_ones_is_dropped(self, tmp_path):
         journal = _journal(tmp_path)
         journal.path.write_text(
             json.dumps({"event": "start", "key": "a", "ts": 1.0}) + "\n",
             encoding="utf-8",
         )
         journal.append("done", "a", attempt=1)
-        assert [r["event"] for r in journal.records()] == ["start", "done"]
+        with pytest.warns(RuntimeWarning, match="checksum"):
+            assert [r["event"] for r in journal.records()] == ["done"]
 
 
 class TestTornTail:
@@ -195,7 +201,7 @@ class TestSidecars:
         value = {"metrics": list(range(50))}
         journal.store_result("k", value)
         (stored,) = journal.results_dir.glob("*.pkl")
-        assert stored.read_bytes()[: len(SIDECAR_MAGIC)] == SIDECAR_MAGIC
+        assert stored.read_bytes()[: len(cas.MAGIC)] == cas.MAGIC
         assert journal.load_result("k") == value
         raw = journal.load_result_bytes("k")
         assert pickle.loads(raw) == value
@@ -213,7 +219,8 @@ class TestSidecars:
         assert not list(journal.results_dir.glob("*.pkl"))
         (quarantined,) = journal.results_dir.glob("*.corrupt")
         assert quarantined.stem == stored.stem  # evidence preserved
-        assert registry.get("journal.sidecar_quarantined").value() == 1
+        assert registry.get("blob.quarantined").value(
+            namespace="sidecar") == 1
         # Re-loading after quarantine is an ordinary miss, not a warning.
         assert journal.load_result("k") is None
 

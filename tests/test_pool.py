@@ -11,6 +11,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +36,8 @@ from repro.sim.pool import (
     shm_min_bytes,
 )
 from repro.sim.runner import FAULT_ENV, RunnerPolicy, Task, run_tasks
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _ok(x):
@@ -220,6 +227,51 @@ class TestWorkerPool:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             WorkerPool(jobs=0)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads process states from /proc")
+    def test_workers_exit_when_their_owner_is_sigkilled(self):
+        # Each forked worker holds copies of the parent-side pipe ends;
+        # unless it closes them, its recv() never sees EOF once the
+        # owner dies, and it lingers forever, parented to init.
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SELF_KILLING_OWNER],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        # One line, not EOF: lingering workers would hold stdout open.
+        pids = [int(p) for p in proc.stdout.readline().split()]
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        assert len(pids) == 2
+        try:
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(map(_running, pids)):
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
+
+
+_SELF_KILLING_OWNER = """
+import os, signal
+from repro.sim.pool import WorkerPool
+
+pool = WorkerPool(jobs=2)
+pool.start()
+print(*(w.process.pid for w in pool.workers), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while *pid* exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 # ---------------------------------------------------------------------------

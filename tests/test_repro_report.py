@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs.regress import compare_records
+from repro.sim.journal import CHECKSUM_FIELD, record_checksum
 from repro.obs.report import (
     bench_trend_section,
     build_report,
@@ -52,8 +53,14 @@ def _write_journal(path, system="numa-gpu", rdc_hit=0):
     ]
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(_line(rec))
     return path
+
+
+def _line(record: dict) -> str:
+    """One journal line, checksummed as the journal writes it."""
+    return json.dumps({**record, CHECKSUM_FIELD: record_checksum(record)}) \
+        + "\n"
 
 
 class TestLoaders:
@@ -68,10 +75,10 @@ class TestLoaders:
     def test_failed_overrides_earlier_done(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with open(path, "w") as fh:
-            fh.write(json.dumps({"event": "done", "key": "a", "ts": 1.0,
-                                 "attempt": 1}) + "\n")
-            fh.write(json.dumps({"event": "failed", "key": "a", "ts": 2.0,
-                                 "kind": "timeout"}) + "\n")
+            fh.write(_line({"event": "done", "key": "a", "ts": 1.0,
+                            "attempt": 1}))
+            fh.write(_line({"event": "failed", "key": "a", "ts": 2.0,
+                            "kind": "timeout"}))
         _, rows = load_journal_rows([path])
         assert rows[0]["event"] == "failed"
 
@@ -104,10 +111,10 @@ class TestSections:
     def test_inventory_marks_failures(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with open(path, "w") as fh:
-            fh.write(json.dumps({
+            fh.write(_line({
                 "event": "failed", "key": "numa-gpu/Euler", "ts": 1.0,
                 "kind": "timeout", "attempts": 3, "elapsed_s": 9.0,
-            }) + "\n")
+            }))
         _, rows = load_journal_rows([path])
         text = inventory_section(rows)
         assert "timeout" in text

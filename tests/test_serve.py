@@ -9,7 +9,6 @@ full socket path.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from types import SimpleNamespace
@@ -160,12 +159,13 @@ class TestResultStore:
         key = "deadbeef" * 4
         store.save(key, {"ok": True})
         path = store.result_path(key)
-        path.write_text(path.read_text()[:-20] + "garbage}\n")
+        path.write_bytes(path.read_bytes()[:-20] + b"garbage}\n")
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert store.load(key) is None
         assert not path.exists()
-        assert path.with_name(path.name + ".corrupt").exists()
-        assert registry.get("serve.store_quarantined").total() == 1
+        assert path.with_suffix(".corrupt").exists()
+        assert registry.get("blob.quarantined").value(
+            namespace="serve") == 1
         # quarantine cleared the slot: a fresh save works again
         store.save(key, {"ok": True})
         assert store.load(key) == {"ok": True}
@@ -175,9 +175,9 @@ class TestResultStore:
         key = "cafebabe" * 4
         store.save(key, {"value": 1})
         path = store.result_path(key)
-        envelope = json.loads(path.read_text())
-        envelope["payload"]["value"] = 2  # silent bit-flip, sum stale
-        path.write_text(json.dumps(envelope))
+        # a silent edit of the payload; the digest is now stale
+        path.write_bytes(path.read_bytes().replace(b'"value":1',
+                                                   b'"value":2'))
         with pytest.warns(RuntimeWarning):
             assert store.load(key) is None
 

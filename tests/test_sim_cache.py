@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 import pickle
 
 import pytest
@@ -49,18 +48,15 @@ class TestQuarantine:
         assert isinstance(hit, RunResult)
         assert hit.workload == spec.abbr
 
-    def test_corrupt_entry_quarantined_with_warning(
-        self, live_cache, config, caplog
-    ):
+    def test_corrupt_entry_quarantined_with_warning(self, live_cache, config):
         spec = cache_spec()
         path = _entry_path(spec, config)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"not a pickle at all")
-        with caplog.at_level(logging.WARNING, logger="repro.sim.cache"):
+        with pytest.warns(RuntimeWarning, match="quarantined"):
             assert simcache.load(spec, config) is None  # a miss, not a crash
         assert not path.exists()
         assert path.with_suffix(".corrupt").exists()
-        assert any("quarantined" in r.message for r in caplog.records)
 
     def test_truncated_pickle_quarantined(self, live_cache, config):
         spec = cache_spec()
@@ -73,9 +69,9 @@ class TestQuarantine:
     def test_wrong_type_quarantined(self, live_cache, config):
         spec = cache_spec()
         path = _entry_path(spec, config)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("wb") as f:
-            pickle.dump({"not": "a RunResult"}, f)
+        # a verified blob whose payload is not a RunResult
+        simcache._blobs().put(simcache._key(spec, config),
+                              pickle.dumps({"not": "a RunResult"}))
         assert simcache.load(spec, config) is None
         assert path.with_suffix(".corrupt").exists()
 
