@@ -90,26 +90,7 @@ def _time_engine(cfg: SystemConfig, trace, engine: str, repeats: int):
     return best, result
 
 
-def _time_engine_traced(cfg, trace, repeats: int, spill_dir: Path):
-    """Best-of-*repeats* vectorized wall time with span tracing + spill
-    attached; returns (seconds, RunResult)."""
-    best = math.inf
-    result = None
-    for _ in range(repeats):
-        obs, spill = _traced_obs(spill_dir)
-        system = MultiGpuSystem(cfg, engine=ENGINE_VECTORIZED, obs=obs)
-        t0 = time.perf_counter()
-        r = system.run(trace)
-        best = min(best, time.perf_counter() - t0)
-        spill.close()
-        if result is None:
-            result = r
-    return best, result
-
-
 def run_bench(max_accesses: int, n_kernels: int, repeats: int) -> dict:
-    import tempfile
-
     cells = []
     for workload in WORKLOADS:
         spec = _scaled_spec(workload, max_accesses, n_kernels)
@@ -123,23 +104,12 @@ def run_bench(max_accesses: int, n_kernels: int, repeats: int) -> dict:
                     f"engine divergence on {workload}/{label}: the "
                     "vectorized engine is not counter-identical"
                 )
-            with tempfile.TemporaryDirectory() as tmp:
-                t_traced, r_traced = _time_engine_traced(
-                    cfg, trace, repeats, Path(tmp)
-                )
-            if r_traced != r_vec:
-                raise AssertionError(
-                    f"tracing divergence on {workload}/{label}: span "
-                    "tracing + spill must leave RunResult bit-identical"
-                )
             cell = {
                 "workload": workload,
                 "config": label,
                 "accesses": n_acc,
                 "vectorized_acc_per_s": round(n_acc / t_vec, 1),
                 "reference_acc_per_s": round(n_acc / t_ref, 1),
-                "tracing_acc_per_s": round(n_acc / t_traced, 1),
-                "tracing_overhead": round(t_traced / t_vec - 1.0, 4),
                 "speedup": round(t_ref / t_vec, 3),
             }
             cells.append(cell)
@@ -147,7 +117,6 @@ def run_bench(max_accesses: int, n_kernels: int, repeats: int) -> dict:
                 f"{workload:8s} {label:14s} "
                 f"vec={cell['vectorized_acc_per_s']:>11,.0f}/s "
                 f"ref={cell['reference_acc_per_s']:>11,.0f}/s "
-                f"traced={cell['tracing_acc_per_s']:>11,.0f}/s "
                 f"x{cell['speedup']:.2f}"
             )
     speedups = [c["speedup"] for c in cells]
@@ -168,29 +137,18 @@ def run_bench(max_accesses: int, n_kernels: int, repeats: int) -> dict:
 OBS_OVERHEAD_LIMIT = 0.05
 
 
-def _traced_obs(spill_dir: Path):
-    """An Observability with span tracing + crash-safe spill attached —
-    the full distributed-tracing posture of docs/tracing.md."""
-    from repro.obs import Observability, SpanSpill
-    from repro.obs.trace import TraceContext
-
-    ctx = TraceContext.mint(seed="bench-hotpath")
-    spill = SpanSpill(spill_dir / "bench-spans.jsonl")
-    return Observability(context=ctx, spill=spill), spill
-
-
-def _measure_obs_cell(cfg, trace, repeats, spill_dir):
+def _measure_obs_cell(cfg, trace, repeats):
     """Interleaved best-of-*repeats* timings:
-    ``(t_bare, t_obs, t_traced, r_bare, r_obs, r_traced)``.
+    ``(t_bare, t_obs, r_bare, r_obs)``.
 
-    Bare, observed, and span-traced runs alternate within each repeat
-    so a load spike on a shared machine hits all variants rather than
-    biasing one.
+    Bare and observed runs alternate within each repeat so a load
+    spike on a shared machine hits both variants rather than biasing
+    one.
     """
     from repro.obs import Observability
 
-    t_bare = t_obs = t_traced = math.inf
-    r_bare = r_obs = r_traced = None
+    t_bare = t_obs = math.inf
+    r_bare = r_obs = None
     for _ in range(repeats):
         system = MultiGpuSystem(cfg, engine=ENGINE_VECTORIZED)
         t0 = time.perf_counter()
@@ -205,77 +163,49 @@ def _measure_obs_cell(cfg, trace, repeats, spill_dir):
         t_obs = min(t_obs, time.perf_counter() - t0)
         if r_obs is None:
             r_obs = r
-        obs, spill = _traced_obs(spill_dir)  # spans + spill on
-        system = MultiGpuSystem(cfg, engine=ENGINE_VECTORIZED, obs=obs)
-        t0 = time.perf_counter()
-        r = system.run(trace)
-        t_traced = min(t_traced, time.perf_counter() - t0)
-        spill.close()
-        if r_traced is None:
-            r_traced = r
-    return t_bare, t_obs, t_traced, r_bare, r_obs, r_traced
+    return t_bare, t_obs, r_bare, r_obs
 
 
 def run_obs_check(max_accesses: int, n_kernels: int, repeats: int) -> int:
     """Assert the observability layer's overhead + fidelity contract.
 
-    For each (workload, config) cell: run the vectorized engine bare,
-    with a metrics-only :class:`repro.obs.Observability` attached, and
-    with span tracing + crash-safe spill on top (the distributed-tracing
-    posture of docs/tracing.md) — interleaved, best-of-*repeats* each.
-    Require bit-identical ``RunResult`` and < 5% wall-time overhead on
-    the best times for *both* observed variants.  A cell over budget is
-    re-measured up to twice before it counts as a failure — single-shot
-    wall clock on a shared machine is noisy, and only a *repeatable*
-    overage means the contract is broken.
+    For each (workload, config) cell: run the vectorized engine bare
+    and with a metrics-only :class:`repro.obs.Observability` attached,
+    interleaved, best-of-*repeats* each.  Require a bit-identical
+    ``RunResult`` and < 5% wall-time overhead on the best times.  A
+    cell over budget is re-measured up to twice before it counts as a
+    failure — single-shot wall clock on a shared machine is noisy, and
+    only a *repeatable* overage means the contract is broken.
     """
-    import tempfile
-
     worst = 0.0
     failures = 0
     for workload in WORKLOADS:
         spec = _scaled_spec(workload, max_accesses, n_kernels)
         for label, cfg in _configs().items():
             trace = generate_trace(spec, cfg)
-            overhead = traced_overhead = math.inf
-            with tempfile.TemporaryDirectory() as tmp:
-                for attempt in range(3):
-                    (t_bare, t_obs, t_traced,
-                     r_bare, r_obs, r_traced) = _measure_obs_cell(
-                        cfg, trace, repeats, Path(tmp)
-                    )
-                    overhead = min(overhead, t_obs / t_bare - 1.0)
-                    traced_overhead = min(
-                        traced_overhead, t_traced / t_bare - 1.0
-                    )
-                    if (overhead < OBS_OVERHEAD_LIMIT
-                            and traced_overhead < OBS_OVERHEAD_LIMIT):
-                        break
+            overhead = math.inf
+            for attempt in range(3):
+                t_bare, t_obs, r_bare, r_obs = _measure_obs_cell(
+                    cfg, trace, repeats
+                )
+                overhead = min(overhead, t_obs / t_bare - 1.0)
+                if overhead < OBS_OVERHEAD_LIMIT:
+                    break
             if r_obs != r_bare:
                 print(f"{workload}/{label}: RunResult DIVERGES under obs")
                 failures += 1
                 continue
-            if r_traced != r_bare:
-                print(f"{workload}/{label}: RunResult DIVERGES under "
-                      f"span tracing + spill")
-                failures += 1
-                continue
-            worst = max(worst, overhead, traced_overhead)
-            verdict = "ok" if (overhead < OBS_OVERHEAD_LIMIT and
-                               traced_overhead < OBS_OVERHEAD_LIMIT) \
-                else "FAIL"
+            worst = max(worst, overhead)
+            verdict = "ok" if overhead < OBS_OVERHEAD_LIMIT else "FAIL"
             if verdict == "FAIL":
                 failures += 1
             print(
                 f"{workload:8s} {label:14s} bare={t_bare:.4f}s "
-                f"obs={t_obs:.4f}s ({overhead:+.1%}) "
-                f"traced={t_traced:.4f}s ({traced_overhead:+.1%}) "
-                f"{verdict}"
+                f"obs={t_obs:.4f}s ({overhead:+.1%}) {verdict}"
             )
     print(
         f"worst observed overhead {worst:+.1%} "
-        f"(budget {OBS_OVERHEAD_LIMIT:.0%}, metrics-only and "
-        f"span-traced+spill variants both gated)"
+        f"(budget {OBS_OVERHEAD_LIMIT:.0%}, metrics-only)"
     )
     return 1 if failures else 0
 

@@ -36,7 +36,7 @@ from repro import PerformanceModel, baseline_config, run_workload
 from repro.analysis.report import format_table
 from repro.config import LinkFaultConfig, LinkFaultEvent
 from repro.obs import Observability
-from repro.obs.export import write_chrome_trace
+from repro.obs.export import build_chrome_trace, write_trace
 from repro.perf.model import geometric_mean
 
 DEFAULT_WORKLOADS = ["Lulesh", "HPGMG", "XSBench", "SSSP", "bfs-road"]
@@ -70,7 +70,7 @@ def trace_outage(workload: str, systems: dict, trace_dir: str) -> None:
                               use_cache=False, obs=obs)
         path = os.path.join(trace_dir, f"{workload}-{sys_name}-outage"
                                        ".trace.json")
-        write_chrome_trace(path, result, cfg, obs)
+        write_trace(path, build_chrome_trace(result, cfg, obs))
         total = result.total(include_warmup=True)
         link = obs.registry.get("link.bytes")
         bytes_total = sum(link.values().values())

@@ -42,9 +42,10 @@ from repro.config import ConfigError
 from repro.numa.system import ENGINE_REFERENCE, ENGINE_VECTORIZED
 from repro.obs import Observability, default_registry
 from repro.obs.export import (
-    write_chrome_trace,
+    build_chrome_trace,
     write_jsonl,
     write_metrics_json,
+    write_trace,
 )
 from repro.sim import cache as simcache
 from repro.sim import experiments as E
@@ -131,7 +132,7 @@ def _cmd_trace(args) -> int:
     result = run_workload(args.workload, cfg, label=args.system,
                           use_cache=False, obs=obs)
     out = args.out or f"{args.workload}-{args.system}.trace.json"
-    write_chrome_trace(out, result, cfg, obs)
+    write_trace(out, build_chrome_trace(result, cfg, obs))
     dropped = obs.tracer.dropped
     print(f"{len(obs.tracer)} event(s) retained"
           + (f", {dropped} dropped (ring full)" if dropped else ""))
@@ -151,7 +152,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_trace_assemble(args) -> int:
     """Merge journal + span spills into one Perfetto timeline."""
-    from repro.obs.assemble import assemble_trace, write_trace
+    from repro.obs.assemble import assemble_trace
 
     if args.batch_journal:
         journal = Path(args.batch_journal)

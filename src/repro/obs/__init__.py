@@ -38,13 +38,14 @@ Quickstart::
 
     from repro import carve_config, run_workload
     from repro.obs import Observability
-    from repro.obs.export import write_chrome_trace
+    from repro.obs.export import build_chrome_trace, write_trace
 
     obs = Observability(trace=True)
     cfg = carve_config(rdc_bytes=2 << 30)
     result = run_workload("Lulesh", cfg, use_cache=False, obs=obs)
     print(obs.registry.get("rdc.hit").total())
-    write_chrome_trace("lulesh.trace.json", result, cfg, obs)  # Perfetto
+    write_trace("lulesh.trace.json",
+                build_chrome_trace(result, cfg, obs))  # Perfetto
 
 or from the CLI: ``python -m repro trace Lulesh --system carve-hwc``.
 """

@@ -5,7 +5,7 @@ A traced batch (docs/tracing.md) leaves three kinds of evidence behind:
 * the execution **journal** (``<name>.jsonl``) — start/retry/done/failed
   records, plus the ``meta`` record carrying the trace id;
 * the **span spills** (``<name>-spans/``) — the runner's attempt spans
-  (``runner.jsonl``) and each worker's ``task``/``kernel`` spans
+  (``runner.jsonl``) and each worker's ``task`` spans
   (``worker-NN.jsonl``), every record flushed before the work it
   describes, so even a SIGKILLed worker's final span survives;
 * optionally the **serve event log** — the job lifecycle events the
@@ -20,15 +20,23 @@ made it to disk (the crash victims) render to the end of the timeline
 flagged ``unfinished`` — the flight-recorder view.
 
 This module only *reads* artifacts; it can run long after the batch
-(or the service) that produced them is gone.
+(or the service) that produced them is gone.  The document is built
+from the same ``trace_event`` helpers as the modelled-time kernel
+timeline (:mod:`repro.obs.export`) and written by the same
+:func:`~repro.obs.export.write_trace`.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Optional
 
+from repro.obs.export import (
+    instant_event,
+    metadata_event,
+    slice_event,
+    trace_document,
+)
 from repro.obs.trace import read_spans_dir, spans_dir_for
 from repro.sim.journal import Journal
 
@@ -179,83 +187,51 @@ def assemble_trace(
             args["attempt"] = begin["attempt"]
         if not finished:
             args["unfinished"] = True
-        events.append({
-            "name": _span_label(begin),
-            "cat": "span" if finished else "span,unfinished",
-            "ph": "X",
-            "pid": pid,
-            "tid": tid,
-            "ts": _us(span["ts_begin"], t0),
-            "dur": max(1, _us(ts_end, t0) - _us(span["ts_begin"], t0)),
-            "args": args,
-        })
+        events.append(slice_event(
+            _span_label(begin), pid, tid, _us(span["ts_begin"], t0),
+            max(1, _us(ts_end, t0) - _us(span["ts_begin"], t0)), args,
+            cat="span" if finished else "span,unfinished",
+        ))
 
     for record in journal_records:
         event = record.get("event", "")
         if event in ("span", "meta") or "ts" not in record:
             continue
-        events.append({
-            "name": f"{event} {record.get('key', '')}".strip(),
-            "cat": "journal",
-            "ph": "i",
-            "s": "p",
-            "pid": PID_RUNNER,
-            "tid": 1,
-            "ts": _us(record["ts"], t0),
-            "args": {
-                k: v for k, v in record.items()
-                if k not in ("ts", "sum") and not isinstance(v, dict)
-            },
-        })
+        events.append(instant_event(
+            f"{event} {record.get('key', '')}".strip(), PID_RUNNER, 1,
+            _us(record["ts"], t0),
+            {k: v for k, v in record.items()
+             if k not in ("ts", "sum") and not isinstance(v, dict)},
+            cat="journal",
+        ))
         pids.setdefault(PID_RUNNER, "runner")
 
     for event in serve_events or ():
         if "ts" not in event:
             continue
         pids.setdefault(PID_SERVE, "serve")
-        events.append({
-            "name": event.get("kind", "event"),
-            "cat": "serve",
-            "ph": "i",
-            "s": "p",
-            "pid": PID_SERVE,
-            "tid": 1,
-            "ts": _us(event["ts"], t0),
-            "args": {k: v for k, v in event.items() if k != "ts"},
-        })
+        events.append(instant_event(
+            event.get("kind", "event"), PID_SERVE, 1, _us(event["ts"], t0),
+            {k: v for k, v in event.items() if k != "ts"},
+            cat="serve",
+        ))
 
     metadata: list[dict] = []
     for pid in sorted(pids):
-        metadata.append({
-            "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"name": pids[pid]},
-        })
-        metadata.append({
-            "name": "process_sort_index", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"sort_index": pid},
-        })
+        metadata.append(metadata_event("process_name", pid,
+                                       name=pids[pid]))
+        metadata.append(metadata_event("process_sort_index", pid,
+                                       sort_index=pid))
 
     events.sort(key=lambda e: (e["ts"], e["pid"], e["tid"], e["name"]))
-    return {
-        "displayTimeUnit": "ms",
-        "traceEvents": metadata + events,
-        "otherData": {
-            "title": title or journal_path.stem,
-            "trace_id": trace_id or "",
-            "journal": journal_path.name,
-            "spans": len(span_records),
-            "unfinished_spans": len(unfinished),
-            "damaged_span_records": damaged,
-        },
-    }
-
-
-def write_trace(path, doc: dict) -> Path:
-    """Write an assembled document as Perfetto-loadable JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-    return path
+    return trace_document(metadata + events, {
+        "title": title or journal_path.stem,
+        "trace_id": trace_id or "",
+        "journal": journal_path.name,
+        "spans": len(span_records),
+        "unfinished_spans": len(unfinished),
+        "damaged_span_records": damaged,
+    })
 
 
 __all__ = [
@@ -264,5 +240,4 @@ __all__ = [
     "PID_WORKER_BASE",
     "assemble_trace",
     "open_spans",
-    "write_trace",
 ]

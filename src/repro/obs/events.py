@@ -33,10 +33,6 @@ EVENT_REPLICATION = "repl.install"
 EVENT_LINK_FAULT = "link.fault"
 #: The fault-tolerant runner retried a task.
 EVENT_RUNNER_RETRY = "runner.retry"
-#: A distributed-trace span opened (mirrored into the spill file).
-EVENT_SPAN_BEGIN = "span.begin"
-#: A distributed-trace span closed (carries its status).
-EVENT_SPAN_END = "span.end"
 
 #: Every contracted event kind (what docs may legally reference).
 EVENT_KINDS = frozenset({
@@ -49,8 +45,6 @@ EVENT_KINDS = frozenset({
     EVENT_REPLICATION,
     EVENT_LINK_FAULT,
     EVENT_RUNNER_RETRY,
-    EVENT_SPAN_BEGIN,
-    EVENT_SPAN_END,
 })
 
 
@@ -92,7 +86,5 @@ __all__ = [
     "EVENT_RDC",
     "EVENT_REPLICATION",
     "EVENT_RUNNER_RETRY",
-    "EVENT_SPAN_BEGIN",
-    "EVENT_SPAN_END",
     "TraceEvent",
 ]

@@ -16,11 +16,17 @@ The simulator itself is untimed — counters first, roofline pricing after
 where kernel *k-1*'s ended, and its duration is the modelled kernel time.
 That makes the Perfetto view show *modelled* time, which is exactly the
 quantity the paper's figures are drawn in.
+
+The ``trace_event`` building blocks below (process rows, slices,
+instants, the document envelope) and :func:`write_trace` are shared
+with :mod:`repro.obs.assemble`, which draws a traced batch on *wall*
+time: both timelines are written by the same code.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import IO, Optional
 
 from repro.obs.events import (
@@ -34,6 +40,46 @@ from repro.obs.events import (
 _SUMMARY_KINDS = frozenset({EVENT_KERNEL, EVENT_RDC, EVENT_IMST})
 
 _US = 1e6  # seconds -> microseconds (trace_event timestamps are µs)
+
+
+def metadata_event(kind: str, pid: int, **args) -> dict:
+    """One metadata (``"M"``) record: *kind* ``process_name``,
+    ``process_sort_index`` or ``thread_name`` (of tid 0) for *pid*."""
+    return {"name": kind, "ph": "M", "pid": pid, "tid": 0, "args": args}
+
+
+def slice_event(name: str, pid: int, tid: int, ts, dur, args: dict, *,
+                cat: Optional[str] = None) -> dict:
+    """One complete (``"X"``) slice."""
+    event = {"name": name, "ph": "X", "pid": pid, "tid": tid,
+             "ts": ts, "dur": dur, "args": args}
+    if cat is not None:
+        event["cat"] = cat
+    return event
+
+
+def instant_event(name: str, pid: int, tid: int, ts, args: dict, *,
+                  scope: str = "p", cat: Optional[str] = None) -> dict:
+    """One instant (``"i"``) marker; *scope* ``"g"`` spans all rows."""
+    event = {"name": name, "ph": "i", "s": scope, "pid": pid, "tid": tid,
+             "ts": ts, "args": args}
+    if cat is not None:
+        event["cat"] = cat
+    return event
+
+
+def trace_document(events: list, other: dict) -> dict:
+    """The ``trace_event`` envelope Perfetto loads."""
+    return {"traceEvents": events, "displayTimeUnit": "ms",
+            "otherData": other}
+
+
+def write_trace(path, doc: dict) -> Path:
+    """Write a ``trace_event`` document as Perfetto-loadable JSON."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    return path
 
 
 def _counter_track_args(name: str, samples: dict) -> dict:
@@ -58,22 +104,14 @@ def build_chrome_trace(result, config, obs) -> dict:
     # kernel they were recorded in.
     kernel_times = [model.kernel_time(ks) for ks in result.kernels]
     n_gpus = result.n_gpus
-    events: list = []
-
     # Process/thread naming metadata: pid 1..n = GPUs, pid 0 = system.
-    events.append({
-        "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
-        "args": {"name": f"system ({result.config_label})"},
-    })
+    events = [metadata_event("process_name", 0,
+                             name=f"system ({result.config_label})")]
     for gpu in range(n_gpus):
-        events.append({
-            "name": "process_name", "ph": "M", "pid": gpu + 1, "tid": 0,
-            "args": {"name": f"GPU {gpu}"},
-        })
-        events.append({
-            "name": "thread_name", "ph": "M", "pid": gpu + 1, "tid": 0,
-            "args": {"name": "kernels"},
-        })
+        events.append(metadata_event("process_name", gpu + 1,
+                                     name=f"GPU {gpu}"))
+        events.append(metadata_event("thread_name", gpu + 1,
+                                     name="kernels"))
 
     # Kernel slices on modelled time.  kernel_starts[i] is the µs offset
     # of kernel i; the list is also the clock for counters and instants.
@@ -83,13 +121,10 @@ def build_chrome_trace(result, config, obs) -> dict:
         kernel_starts.append(cursor)
         ks = result.kernels[i]
         for gpu in range(n_gpus):
-            dur = kt.per_gpu[gpu] * _US
-            events.append({
-                "name": f"kernel {kt.kernel_id}"
-                        + (" (warmup)" if ks.warmup else ""),
-                "ph": "X", "pid": gpu + 1, "tid": 0,
-                "ts": cursor, "dur": dur,
-                "args": {
+            events.append(slice_event(
+                f"kernel {kt.kernel_id}" + (" (warmup)" if ks.warmup else ""),
+                gpu + 1, 0, cursor, kt.per_gpu[gpu] * _US,
+                {
                     "kernel_id": kt.kernel_id,
                     "bottleneck": kt.bottlenecks[gpu],
                     "accesses": ks.gpus[gpu].accesses,
@@ -101,7 +136,7 @@ def build_chrome_trace(result, config, obs) -> dict:
                     # lint: disable=OBS001
                     "link.out_bytes": ks.link_out_bytes(gpu),
                 },
-            })
+            ))
         cursor += kt.time * _US
 
     # Per-kernel counter tracks from the registry snapshots (the "C"
@@ -135,33 +170,20 @@ def build_chrome_trace(result, config, obs) -> dict:
                 ts = 0.0
             args = {"count": ev.count}
             args.update(ev.payload)
-            events.append({
-                "name": ev.kind, "ph": "i", "s": "g" if ev.gpu < 0 else "p",
-                "pid": (ev.gpu + 1) if ev.gpu >= 0 else 0, "tid": 0,
-                "ts": ts, "args": args,
-            })
+            events.append(instant_event(
+                ev.kind, (ev.gpu + 1) if ev.gpu >= 0 else 0, 0, ts, args,
+                scope="g" if ev.gpu < 0 else "p",
+            ))
 
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "workload": result.workload,
-            "config": result.config_label,
-            "n_gpus": n_gpus,
-            # The paper's quantity: measured (non-warmup) kernels only.
-            "modelled_total_s": model.run_time(result).total_s,
-            # What the timeline spans: every kernel, warmup included.
-            "timeline_total_s": cursor / _US,
-        },
-    }
-
-
-def write_chrome_trace(path, result, config, obs) -> dict:
-    """Build and write the Chrome trace; returns the document."""
-    doc = build_chrome_trace(result, config, obs)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    return doc
+    return trace_document(events, {
+        "workload": result.workload,
+        "config": result.config_label,
+        "n_gpus": n_gpus,
+        # The paper's quantity: measured (non-warmup) kernels only.
+        "modelled_total_s": model.run_time(result).total_s,
+        # What the timeline spans: every kernel, warmup included.
+        "timeline_total_s": cursor / _US,
+    })
 
 
 def write_jsonl(fh: IO[str], obs, result=None) -> int:
@@ -220,7 +242,11 @@ def write_metrics_json(path, obs, extra: Optional[dict] = None) -> dict:
 
 __all__ = [
     "build_chrome_trace",
-    "write_chrome_trace",
+    "instant_event",
+    "metadata_event",
+    "slice_event",
+    "trace_document",
     "write_jsonl",
     "write_metrics_json",
+    "write_trace",
 ]

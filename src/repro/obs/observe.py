@@ -33,8 +33,8 @@ class Observability:
 
     ``trace=False`` (the default) gives metrics-only observation: the
     tracer is constructed disabled and every event hook short-circuits.
-    Pass ``trace=True`` (optionally with ``ring``/``sample_every``/
-    ``sample_overrides``) to also capture the typed event stream.
+    Pass ``trace=True`` (optionally with ``ring``/``sample_every``) to
+    also capture the typed event stream.
     """
 
     def __init__(
@@ -45,15 +45,10 @@ class Observability:
         tracer: Optional[Tracer] = None,
         ring: int = DEFAULT_CAPACITY,
         sample_every: int = 1,
-        sample_overrides: Optional[dict] = None,
-        context=None,
-        spill=None,
     ) -> None:
         self.registry = registry if registry is not None else default_registry()
         self.tracer = tracer if tracer is not None else Tracer(
             ring, enabled=trace, sample_every=sample_every,
-            sample_overrides=sample_overrides, context=context,
-            spill=spill,
         )
         r = self.registry
         # Cached handles: end_kernel runs once per kernel but touches ~20
@@ -99,9 +94,6 @@ class Observability:
         self._rdc_stale_base: dict = {}
         self._imst_base: dict = {}
         self._dropped_synced = 0
-        #: Open per-kernel span context (distributed tracing attached).
-        self._kernel_ctx = None
-        self._spill_synced = (0, 0, 0)
 
     # -- kernel lifecycle -----------------------------------------------
 
@@ -112,11 +104,6 @@ class Observability:
             self.tracer.record(
                 ev.EVENT_KERNEL, kernel=kernel_index,
                 kernel_id=kernel_id, phase="begin",
-            )
-        if self.tracer.span_capable:
-            self._kernel_ctx = self.tracer.span_begin(
-                f"kernel:{kernel_index}", kernel=kernel_index,
-                kernel_id=kernel_id,
             )
 
     def end_kernel(self, ks, system) -> None:
@@ -229,12 +216,6 @@ class Observability:
                 kernel_id=ks.kernel_id, phase="end", accesses=total,
                 warmup=ks.warmup,
             )
-        if self._kernel_ctx is not None:
-            tracer.span_end(
-                self._kernel_ctx, f"kernel:{kern}", kernel=kern,
-                accesses=total,
-            )
-            self._kernel_ctx = None
         self.registry.end_kernel()
         self._kernel = -1
 
@@ -316,17 +297,6 @@ class Observability:
         if new_drops:
             self._c_dropped.inc(new_drops)
             self._dropped_synced = self.tracer.dropped
-        spill = self.tracer.spill
-        if spill is not None:
-            now = (spill.spans, spill.bytes_written, spill.dropped)
-            base = self._spill_synced
-            deltas = tuple(n - b for n, b in zip(now, base))
-            names = ("trace.spans", "trace.spill_bytes",
-                     "trace.dropped_spans")
-            for name, delta in zip(names, deltas):
-                if delta:
-                    self.registry.get(name).inc(delta)
-            self._spill_synced = now
 
 
 __all__ = ["Observability"]

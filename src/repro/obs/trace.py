@@ -21,9 +21,10 @@ tracing survive the serve → runner → pool fabric:
     timeline straight from its spill file.  Write failures are counted,
     never raised: tracing must not be able to fail a run.
 
-Reading a spill (:func:`read_spans`) is torn-tail tolerant with the
-same rules as the journal: an unterminated final line is a crash
-mid-append and is skipped silently; damaged interior lines are counted.
+Reading a spill (:func:`read_spans`) goes through the journal's own
+parser, so the two files share one damage rule: a half-written final
+line is a crash mid-append and is skipped silently; damaged interior
+lines are counted.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
-from repro.sim.journal import CHECKSUM_FIELD, _intact_record, record_checksum
+from repro.sim.journal import CHECKSUM_FIELD, record_checksum, scan_file
 
 #: Event name of every spill record (journal-v2 envelope requires one).
 SPAN_EVENT = "span"
@@ -131,8 +131,6 @@ class SpanSpill:
         self.path = Path(path)
         self.slot = slot
         self.node = node
-        self.spans = 0
-        self.bytes_written = 0
         self.dropped = 0
         self._fh = None
 
@@ -157,8 +155,6 @@ class SpanSpill:
         except OSError:
             self.dropped += 1
             return False
-        self.spans += 1
-        self.bytes_written += len(line)
         return True
 
     def span_begin(self, ctx: TraceContext, name: str, *, key: str = "",
@@ -217,34 +213,16 @@ class SpanSpill:
 def read_spans(path) -> tuple[list[dict], int]:
     """``(records, damaged)`` from one spill file.
 
-    Torn-tail tolerant: an unterminated final line is crash fallout by
-    definition and is skipped without counting.  Interior damage
+    Lines are classified by the journal's own parser
+    (:func:`repro.sim.journal.scan_file`): a half-written final line is
+    crash fallout and is skipped without counting, a complete final
+    line that lost only its newline is kept, and interior damage
     (undecodable / malformed / checksum-failing lines) is counted in
     ``damaged`` — the test suite asserts a SIGKILL never produces any.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError:
-        return [], 0
-    records: list[dict] = []
-    damaged = 0
-    lines = text.split("\n")
-    # A well-formed file ends with "\n" → last element is "".  Anything
-    # else in the final slot is a torn tail.
-    torn = lines[-1] != ""
-    body = lines[:-1]
-    for line in body:
-        if not line.strip():
-            continue
-        record, why = _intact_record(line)
-        if record is None:
-            damaged += 1
-            continue
-        if record.get("event") == SPAN_EVENT:
-            records.append(record)
-    del torn  # the torn tail (if any) is simply never parsed
-    return records, damaged
+    scan = scan_file(path)
+    records = [r for r in scan.records if r["event"] == SPAN_EVENT]
+    return records, scan.corrupt_records + scan.checksum_failures
 
 
 def read_spans_dir(spans_dir) -> tuple[list[dict], int]:

@@ -12,18 +12,16 @@ in :mod:`repro.obs.registry`).  Design constraints, in order:
 3. **Bulk over per-occurrence.**  High-frequency happenings (RDC probes)
    are recorded as one summarising event per kernel via
    :meth:`record_many`, never one event per access.
-4. **Sampling.**  ``sample_every=N`` keeps every Nth occurrence of a
-   kind; per-kind overrides let you thin chatty kinds (migrations) while
-   keeping rare ones (link faults) exact.
+4. **Sampling.**  ``sample_every=N`` keeps every Nth occurrence of
+   each kind.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Optional
+from typing import Iterator
 
-from repro.obs.events import EVENT_SPAN_BEGIN, EVENT_SPAN_END, TraceEvent
-from repro.obs.trace import SpanSpill, TraceContext
+from repro.obs.events import TraceEvent
 
 DEFAULT_CAPACITY = 65_536
 
@@ -31,23 +29,13 @@ DEFAULT_CAPACITY = 65_536
 class Tracer:
     """Bounded, sampled event sink.
 
-    ``capacity`` bounds the ring; ``sample_every`` is the global sampling
-    stride (1 = keep everything); ``sample_overrides`` maps event kind to
-    a per-kind stride.  A disabled tracer drops everything (and records
-    nothing, not even drops).
-
-    Distributed tracing (docs/tracing.md) attaches two optionals:
-    ``context`` (the process's :class:`TraceContext` — span methods
-    derive children from it) and ``spill`` (a :class:`SpanSpill` that
-    mirrors span edges to the crash-safe file).  Both default off, so
-    a plain metrics/ring tracer pays nothing new.
+    ``capacity`` bounds the ring; ``sample_every`` is the sampling
+    stride per kind (1 = keep everything).  A disabled tracer drops
+    everything (and records nothing, not even drops).
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY, *,
-                 enabled: bool = True, sample_every: int = 1,
-                 sample_overrides: Optional[dict] = None,
-                 context: Optional[TraceContext] = None,
-                 spill: Optional[SpanSpill] = None) -> None:
+                 enabled: bool = True, sample_every: int = 1) -> None:
         if capacity < 1:
             raise ValueError("tracer capacity must be >= 1")
         if sample_every < 1:
@@ -55,9 +43,6 @@ class Tracer:
         self.enabled = enabled
         self.capacity = capacity
         self.sample_every = sample_every
-        self.sample_overrides = dict(sample_overrides or {})
-        self.context = context
-        self.spill = spill
         self._ring: deque = deque(maxlen=capacity)
         self._seen: dict = {}
         #: Events evicted from the ring by overflow (not sampling skips).
@@ -73,9 +58,6 @@ class Tracer:
         """The retained events, oldest first."""
         return list(self._ring)
 
-    def _stride(self, kind: str) -> int:
-        return self.sample_overrides.get(kind, self.sample_every)
-
     def _push(self, event: TraceEvent) -> None:
         if len(self._ring) == self.capacity:
             self.dropped += 1
@@ -88,7 +70,7 @@ class Tracer:
             return
         seen = self._seen.get(kind, 0)
         self._seen[kind] = seen + 1
-        if seen % self._stride(kind):
+        if seen % self.sample_every:
             return
         self._push(TraceEvent(kind, kernel, gpu, 1, payload))
 
@@ -104,52 +86,6 @@ class Tracer:
         if not self.enabled or not count:
             return
         self._push(TraceEvent(kind, kernel, gpu, count, payload))
-
-    # -- distributed spans (docs/tracing.md) -----------------------------
-
-    @property
-    def span_capable(self) -> bool:
-        """True when span methods would actually record something."""
-        return self.context is not None and \
-            (self.enabled or self.spill is not None)
-
-    def span_begin(self, name: str, *, key: str = "", kernel: int = -1,
-                   **payload) -> Optional[TraceContext]:
-        """Open a child span of :attr:`context` named *name*.
-
-        Returns the child's context (pass it to :meth:`span_end`), or
-        ``None`` when span tracing is off.  The begin edge lands in the
-        ring (kind ``span.begin``) and, when a spill is attached, is
-        flushed to disk before this returns — a crash after this call
-        still leaves the span visible to the flight recorder.
-        """
-        if not self.span_capable:
-            return None
-        ctx = self.context.child(name)
-        if self.enabled:
-            self._push(TraceEvent(
-                EVENT_SPAN_BEGIN, kernel, -1, 1,
-                {"name": name, "key": key, "span": ctx.span_id, **payload},
-            ))
-        if self.spill is not None:
-            self.spill.span_begin(ctx, name, key=key, **payload)
-        return ctx
-
-    def span_end(self, ctx: Optional[TraceContext], name: str, *,
-                 key: str = "", kernel: int = -1, status: str = "ok",
-                 **payload) -> None:
-        """Close a span opened by :meth:`span_begin` (no-op on None)."""
-        if ctx is None or not self.span_capable:
-            return
-        if self.enabled:
-            self._push(TraceEvent(
-                EVENT_SPAN_END, kernel, -1, 1,
-                {"name": name, "key": key, "span": ctx.span_id,
-                 "status": status, **payload},
-            ))
-        if self.spill is not None:
-            self.spill.span_end(ctx, name, key=key, status=status,
-                                **payload)
 
     def clear(self) -> None:
         self._ring.clear()

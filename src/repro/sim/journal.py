@@ -118,7 +118,7 @@ def _intact_record(line: str) -> Optional[tuple[dict, Optional[str]]]:
 
 @dataclass
 class JournalScan:
-    """One parsed pass over a journal file."""
+    """One parsed pass over a journal or span-spill file."""
 
     #: Every intact record, in file order.
     records: list = field(default_factory=list)
@@ -129,6 +129,42 @@ class JournalScan:
     corrupt_records: int = 0
     #: Complete lines whose ``sum`` did not verify: dropped, warned.
     checksum_failures: int = 0
+
+
+def scan_file(path) -> JournalScan:
+    """Parse one checksummed JSONL file, classifying every damaged line.
+
+    The one reader of the record format: the journal and the span
+    spills (:func:`repro.obs.trace.read_spans`) both go through it.  An
+    intact record is kept wherever it sits, so a complete final line
+    that lost only its newline still counts.  A broken final line
+    without a newline is a crash mid-append (``torn_tail``); a broken
+    line anywhere else is interior damage.  Bytes that are not UTF-8
+    decode as replacement characters, so such a line fails to parse or
+    fails its checksum and is counted instead of raising.
+    """
+    scan = JournalScan()
+    try:
+        text = Path(path).read_text(encoding="utf-8", errors="replace")
+    except OSError:
+        return scan
+    lines = text.split("\n")
+    ends_complete = text.endswith("\n") or not text
+    occupied = [i for i, line in enumerate(lines) if line.strip()]
+    last = occupied[-1] if occupied else -1
+    for i in occupied:
+        rec, problem = _intact_record(lines[i].strip())
+        if rec is not None:
+            scan.records.append(rec)
+        elif i == last and not ends_complete:
+            # Unterminated final line: crash mid-append, the one
+            # damage shape normal operation produces.
+            scan.torn_tail += 1
+        elif problem == "checksum":
+            scan.checksum_failures += 1
+        else:
+            scan.corrupt_records += 1
+    return scan
 
 
 class Journal:
@@ -263,33 +299,9 @@ class Journal:
         cache_key = (stat.st_size, stat.st_mtime_ns)
         if self._scan_cache is not None and self._scan_cache[0] == cache_key:
             return self._scan_cache[1]
-        scan = self._parse()
+        scan = scan_file(self.path)
         self._scan_cache = (cache_key, scan)
         self._publish(scan)
-        return scan
-
-    def _parse(self) -> JournalScan:
-        scan = JournalScan()
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return scan
-        lines = text.split("\n")
-        ends_complete = text.endswith("\n") or not text
-        occupied = [i for i, line in enumerate(lines) if line.strip()]
-        last = occupied[-1] if occupied else -1
-        for i in occupied:
-            rec, problem = _intact_record(lines[i].strip())
-            if rec is not None:
-                scan.records.append(rec)
-            elif i == last and not ends_complete:
-                # Unterminated final line: crash mid-append, the one
-                # damage shape normal operation produces.
-                scan.torn_tail += 1
-            elif problem == "checksum":
-                scan.checksum_failures += 1
-            else:
-                scan.corrupt_records += 1
         return scan
 
     def _publish(self, scan: JournalScan) -> None:
@@ -395,4 +407,5 @@ __all__ = [
     "Journal",
     "JournalScan",
     "record_checksum",
+    "scan_file",
 ]

@@ -194,6 +194,21 @@ class TestTornTail:
         fresh.scan()
         assert registry.get("journal.corrupt_records").value() == 1
 
+    def test_non_utf8_interior_byte_is_counted_not_raised(self, tmp_path):
+        registry = MetricsRegistry()
+        journal = _journal(tmp_path)
+        journal.append("start", "k", attempt=1)
+        journal.append("done", "k", attempt=1)
+        data = bytearray(journal.path.read_bytes())
+        data[data.index(b'"start"') + 1] = 0xFF  # not valid UTF-8
+        journal.path.write_bytes(bytes(data))
+        fresh = Journal(journal.path, registry=registry)
+        with pytest.warns(RuntimeWarning, match="not crash fallout"):
+            scan = fresh.scan()
+        assert scan.torn_tail == 0
+        assert scan.corrupt_records + scan.checksum_failures == 1
+        assert [r["event"] for r in scan.records] == ["done"]
+
 
 class TestSidecars:
     def test_round_trip_with_digest_envelope(self, tmp_path):
@@ -248,10 +263,10 @@ class TestScanCache:
         journal.append("meta", "", fingerprint={"v": 1})
         journal.append("done", "k", attempt=1)
         parses = []
-        real_parse = Journal._parse
+        real_scan = journal_mod.scan_file
         monkeypatch.setattr(
-            Journal, "_parse",
-            lambda self: parses.append(1) or real_parse(self),
+            journal_mod, "scan_file",
+            lambda path: parses.append(1) or real_scan(path),
         )
         journal.records()
         journal.meta()

@@ -13,9 +13,9 @@ from repro.numa.system import MultiGpuSystem
 from repro.obs import Observability
 from repro.obs.export import (
     build_chrome_trace,
-    write_chrome_trace,
     write_jsonl,
     write_metrics_json,
+    write_trace,
 )
 from repro.obs.metrics import METRIC_NAMES, default_registry
 from repro.workloads.base import generate_trace
@@ -81,10 +81,10 @@ class TestChromeTrace:
         for starts in by_gpu.values():
             assert starts == sorted(starts)
 
-    def test_write_chrome_trace_roundtrip(self, observed_run, tmp_path):
+    def test_write_trace_roundtrip(self, observed_run, tmp_path):
         result, cfg, obs = observed_run
-        path = tmp_path / "t.trace.json"
-        doc = write_chrome_trace(path, result, cfg, obs)
+        doc = build_chrome_trace(result, cfg, obs)
+        path = write_trace(tmp_path / "out" / "t.trace.json", doc)
         assert json.loads(path.read_text()) == json.loads(json.dumps(doc))
 
 

@@ -61,16 +61,6 @@ class TestSampling:
             t.record(EVENT_RDC, kernel=i)
         assert [ev.kernel for ev in t.events()] == [0, 3, 6]
 
-    def test_per_kind_override(self):
-        t = Tracer(sample_every=1, sample_overrides={EVENT_RDC: 2})
-        for i in range(4):
-            t.record(EVENT_RDC, kernel=i)
-            t.record(EVENT_MIGRATION, kernel=i)
-        kinds = [(ev.kind, ev.kernel) for ev in t.events()]
-        assert kinds.count((EVENT_RDC, 0)) == 1
-        assert sum(1 for k, _ in kinds if k == EVENT_RDC) == 2
-        assert sum(1 for k, _ in kinds if k == EVENT_MIGRATION) == 4
-
     def test_invalid_stride_rejected(self):
         with pytest.raises(ValueError):
             Tracer(sample_every=0)
