@@ -8,9 +8,8 @@ promise gets attacked instead of assumed:
 
 * a :class:`ChaosPlan` maps a seed to a reproducible schedule of
   :class:`FaultEvent` s — worker SIGKILL, hang, slowdown, raised
-  exception, shared-memory transport failure, torn journal tail,
-  ENOSPC on journal append, truncated or bit-flipped sidecar pickles
-  and a bit-flipped sim-cache entry;
+  exception, torn journal tail, ENOSPC on journal append, truncated or
+  bit-flipped sidecar pickles and a bit-flipped sim-cache entry;
 * a :class:`ChaosEngine` arms the plan across *every process of a
   batch* (parent and forked workers alike) through a single hook,
   :func:`fire`, that the pool, journal and sim-cache call at their
@@ -29,11 +28,9 @@ Arming a plan is environment-driven so subprocesses inherit it:
 ``REPRO_CHAOS_PLAN`` points at a saved plan JSON and
 ``REPRO_CHAOS_STATE`` at the shared state directory.  In-process code
 (tests) can instead call :func:`install` with a constructed engine.
-
-The legacy single-fault hook (``REPRO_INJECT_FAULT="<mode>:<key-substr>"``
-with modes ``fail``/``crash``/``hang``/``flaky``) predates plans and
-remains supported; it lives here now and :mod:`repro.sim.pool`
-re-exports its contract.
+This engine is the only fault hook of the fabric: the pool and the
+serial runner path fire it at task entry, the journal and sim-cache at
+their stores.
 
 Nothing in this module runs on the simulated path; the wall-clock and
 sleep calls below are drill orchestration (DET001 allowlists this file
@@ -66,14 +63,6 @@ PLAN_ENV = "REPRO_CHAOS_PLAN"
 #: Directory for cross-process claim files and injection records.
 STATE_ENV = "REPRO_CHAOS_STATE"
 
-#: Legacy single-fault hook (predates plans): ``"<mode>:<key-substr>"``
-#: where mode is one of ``fail`` (raise), ``crash`` (SIGKILL self),
-#: ``hang`` (sleep forever), ``flaky`` (raise on first attempt only,
-#: using a sentinel under :data:`FAULT_STATE_ENV`).  An empty substring
-#: matches every task.
-FAULT_ENV = "REPRO_INJECT_FAULT"
-FAULT_STATE_ENV = "REPRO_INJECT_FAULT_STATE"
-
 # ---------------------------------------------------------------------------
 # Fault sites and kinds
 # ---------------------------------------------------------------------------
@@ -81,7 +70,6 @@ FAULT_STATE_ENV = "REPRO_INJECT_FAULT_STATE"
 #: Hook sites.  Each call to :func:`fire` names the site it is at; an
 #: event only triggers at the site its kind belongs to.
 SITE_TASK = "task"                      # worker task entry (pool/inline)
-SITE_SHM_EXPORT = "shm_export"          # shared-memory result handover
 SITE_JOURNAL_APPEND = "journal_append"  # before a journal line is written
 SITE_SIDECAR_STORE = "sidecar_store"    # after a sidecar result landed
 SITE_SIMCACHE_STORE = "simcache_store"  # after a sim-cache entry landed
@@ -90,7 +78,6 @@ KIND_WORKER_KILL = "worker_kill"            # SIGKILL the executing process
 KIND_WORKER_HANG = "worker_hang"            # sleep past any sane deadline
 KIND_WORKER_SLOW = "worker_slow"            # sleep briefly (jitter)
 KIND_WORKER_EXCEPTION = "worker_exception"  # raise from the task
-KIND_SHM_FAIL = "shm_fail"                  # break shm export (pipe fallback)
 KIND_TORN_TAIL = "journal_torn_tail"        # half a line, fsync, SIGKILL
 KIND_ENOSPC = "journal_enospc"              # ENOSPC on journal append
 KIND_SIDECAR_TRUNCATE = "sidecar_truncate"  # cut the stored sidecar short
@@ -102,7 +89,6 @@ KIND_TO_SITE = {
     KIND_WORKER_HANG: SITE_TASK,
     KIND_WORKER_SLOW: SITE_TASK,
     KIND_WORKER_EXCEPTION: SITE_TASK,
-    KIND_SHM_FAIL: SITE_SHM_EXPORT,
     KIND_TORN_TAIL: SITE_JOURNAL_APPEND,
     KIND_ENOSPC: SITE_JOURNAL_APPEND,
     KIND_SIDECAR_TRUNCATE: SITE_SIDECAR_STORE,
@@ -137,20 +123,27 @@ class FaultEvent:
 
     The event triggers at the ``nth`` :func:`fire` call (counted across
     every process of the batch) whose site matches the kind's and whose
-    key contains ``match`` — or at the first such call after the nth,
-    if the nth call's process died between claiming its turn and
-    injecting.  Each event fires at most once per state directory.
+    key contains ``match``, and again at each following matching call
+    until it has fired ``times`` times.  A firing whose process died
+    between claiming its turn and injecting is made up by the next
+    matching call.  Each firing happens once per state directory and
+    leaves its own audit record.
     """
 
     kind: str
     match: str = ""
     nth: int = 1
     param: float = 0.0
+    times: int = 1
+
+    def __post_init__(self) -> None:
+        if self.times < 1:
+            raise ValueError("a fault event fires at least once")
 
     def to_payload(self) -> dict:
         return {
             "kind": self.kind, "match": self.match,
-            "nth": self.nth, "param": self.param,
+            "nth": self.nth, "param": self.param, "times": self.times,
         }
 
     @classmethod
@@ -163,6 +156,7 @@ class FaultEvent:
             match=str(payload.get("match", "")),
             nth=int(payload.get("nth", 1)),
             param=float(payload.get("param", 0.0)),
+            times=int(payload.get("times", 1)),
         )
 
 
@@ -257,10 +251,11 @@ class ChaosEngine:
     * ``ev<i>.tick<n>`` — call-counting claim files.  Each matching
       :func:`fire` call claims the lowest unclaimed tick with
       ``O_CREAT|O_EXCL``, which is atomic across processes;
-    * ``ev<i>.injected`` — written (same ``O_EXCL`` discipline) by the
-      single process that wins the right to inject event *i*; its JSON
-      body records kind/site/key/pid/tick and is the authoritative
-      audit trail a drill checks against the plan.
+    * ``ev<i>-<j>.injected`` — written (same ``O_EXCL`` discipline) by
+      the single process that wins the right to make firing *j* of
+      event *i*; its JSON body records kind/site/key/pid/tick/firing
+      and is the authoritative audit trail a drill checks against the
+      plan.
 
     The record is written *before* the injection, so kill-flavoured
     faults are accounted for even though the process does not survive
@@ -282,8 +277,13 @@ class ChaosEngine:
 
     # -- state files ----------------------------------------------------
 
-    def _fired(self, idx: int) -> bool:
-        return (self.state_dir / f"ev{idx}.injected").exists()
+    def _record_path(self, idx: int, firing: int) -> Path:
+        return self.state_dir / f"ev{idx}-{firing}.injected"
+
+    def _fired(self, idx: int, event: FaultEvent) -> bool:
+        # Firings are claimed lowest first, so the last one existing
+        # means every one of them has been claimed.
+        return self._record_path(idx, event.times - 1).exists()
 
     def _claim_tick(self, idx: int) -> int:
         self.state_dir.mkdir(parents=True, exist_ok=True)
@@ -303,33 +303,37 @@ class ChaosEngine:
     def _claim_injection(
         self, idx: int, event: FaultEvent, site: str, key: str, tick: int
     ) -> bool:
-        record = {
-            "event": idx, "kind": event.kind, "site": site,
-            "key": key, "pid": os.getpid(), "tick": tick,
-        }
-        try:
-            fd = os.open(
-                self.state_dir / f"ev{idx}.injected",
-                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-            )
-        except FileExistsError:
-            return False  # another process injected this event first
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(json.dumps(record, sort_keys=True))
-            f.flush()
-            os.fsync(f.fileno())
-        return True
+        """Claim the lowest unclaimed firing of event *idx* and record it."""
+        for firing in range(event.times):
+            try:
+                fd = os.open(
+                    self._record_path(idx, firing),
+                    os.O_CREAT | os.O_EXCL | os.O_WRONLY,
+                )
+            except FileExistsError:
+                continue  # another call made this firing first
+            record = {
+                "event": idx, "kind": event.kind, "site": site,
+                "key": key, "pid": os.getpid(), "tick": tick,
+                "firing": firing,
+            }
+            with os.fdopen(fd, "w", encoding="utf-8") as f:
+                f.write(json.dumps(record, sort_keys=True))
+                f.flush()
+                os.fsync(f.fileno())
+            return True
+        return False
 
     @staticmethod
     def injected(state_dir: Union[str, Path]) -> list[dict]:
-        """Audit records of every event that fired, in event order."""
+        """Audit records of every firing, in event then firing order."""
         out: list[dict] = []
-        for path in sorted(Path(state_dir).glob("ev*.injected")):
+        for path in Path(state_dir).glob("ev*.injected"):
             try:
                 out.append(json.loads(path.read_text(encoding="utf-8")))
             except (OSError, json.JSONDecodeError):
                 continue  # the injecting process died mid-record
-        return out
+        return sorted(out, key=lambda r: (r["event"], r["firing"]))
 
     # -- firing ---------------------------------------------------------
 
@@ -345,7 +349,7 @@ class ChaosEngine:
                 continue
             if event.match and event.match not in key:
                 continue
-            if self._fired(idx):
+            if self._fired(idx, event):
                 continue
             tick = self._claim_tick(idx)
             if tick < event.nth:
@@ -380,10 +384,6 @@ class ChaosEngine:
         if kind == KIND_WORKER_SLOW:
             time.sleep(event.param or DEFAULT_SLOW_S)
             return
-        if kind == KIND_SHM_FAIL:
-            raise ChaosInjectedError(
-                f"injected shared-memory transport failure for {key!r}"
-            )
         if kind == KIND_ENOSPC:
             raise OSError(
                 errno.ENOSPC,
@@ -502,37 +502,6 @@ def fire(
     engine = active()
     if engine is not None:
         engine.fire(site, key, path=path, line=line)
-
-
-def fire_task(key: str) -> None:
-    """Task-entry hook: legacy env fault first, then the plan engine."""
-    maybe_inject_env_fault(key)
-    fire(SITE_TASK, key)
-
-
-def maybe_inject_env_fault(key: str) -> None:
-    """The legacy :data:`FAULT_ENV` single-fault hook (see above)."""
-    spec = os.environ.get(FAULT_ENV)
-    if not spec:
-        return
-    mode, _, match = spec.partition(":")
-    if match and match not in key:
-        return
-    if mode == "fail":
-        raise RuntimeError(f"injected failure for {key!r}")
-    if mode == "crash":
-        os.kill(os.getpid(), signal.SIGKILL)
-    if mode == "hang":
-        time.sleep(3600)
-    if mode == "flaky":
-        state_dir = Path(os.environ.get(FAULT_STATE_ENV, "."))
-        sentinel = state_dir / (
-            hashlib.sha256(key.encode()).hexdigest()[:24] + ".flaky"
-        )
-        if not sentinel.exists():
-            state_dir.mkdir(parents=True, exist_ok=True)
-            sentinel.touch()
-            raise RuntimeError(f"injected flaky failure for {key!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -701,9 +670,8 @@ def run_drill(
 
     def child_env(cache_dir: Path, chaos_on: bool) -> dict:
         env = dict(os.environ)
-        for var in (FAULT_ENV, FAULT_STATE_ENV, PLAN_ENV, STATE_ENV,
-                    "REPRO_NO_CACHE", "REPRO_JOURNAL_FSYNC",
-                    "REPRO_POOL_SHM_MIN"):
+        for var in (PLAN_ENV, STATE_ENV, "REPRO_NO_CACHE",
+                    "REPRO_JOURNAL_FSYNC"):
             env.pop(var, None)
         env["REPRO_CACHE_DIR"] = str(cache_dir)
         existing = env.get("PYTHONPATH", "")
@@ -1006,12 +974,9 @@ __all__ = [
     "DRILL_WORKLOADS",
     "DrillReport",
     "DrillRound",
-    "FAULT_ENV",
     "FAULT_KINDS",
-    "FAULT_STATE_ENV",
     "FaultEvent",
     "KIND_ENOSPC",
-    "KIND_SHM_FAIL",
     "KIND_SIDECAR_CORRUPT",
     "KIND_SIDECAR_TRUNCATE",
     "KIND_SIMCACHE_CORRUPT",
@@ -1024,7 +989,6 @@ __all__ = [
     "PLAN_ENV",
     "REQUIRED_KINDS",
     "SITE_JOURNAL_APPEND",
-    "SITE_SHM_EXPORT",
     "SITE_SIDECAR_STORE",
     "SITE_SIMCACHE_STORE",
     "SITE_TASK",
@@ -1032,9 +996,7 @@ __all__ = [
     "active",
     "attach_registry",
     "fire",
-    "fire_task",
     "install",
-    "maybe_inject_env_fault",
     "run_drill",
     "uninstall",
 ]

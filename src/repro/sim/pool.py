@@ -8,9 +8,8 @@ module provides the execution fabric underneath the runner instead:
   batch and amortize import/config cost across every task they run;
 * **pipe-based task/result transport** — the parent sends
   ``(key, fn, args)`` down a duplex pipe and receives the pickled result
-  back over the same pipe; large results are optionally handed over via
-  POSIX shared memory (:data:`SHM_MIN_ENV`) so multi-megabyte payloads
-  never serialize through the 64 KiB pipe buffer chunk by chunk;
+  back over the same pipe, as ``("ok", payload)`` or ``("error", type,
+  message, traceback)``;
 * **crash containment with respawn** — a worker that segfaults, gets
   OOM-killed, or exceeds its deadline only loses its *own* task; the
   pool respawns a replacement in its slot and the batch continues
@@ -41,18 +40,10 @@ from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-# Fault injection for drilling the harness itself lives in
-# :mod:`repro.sim.chaos` — both the legacy single-fault env hook and
-# the seeded multi-fault ChaosPlan engine (docs/chaos.md).  The pool
-# re-exports the legacy env contract and fires the hooks at its two
-# fault sites: task entry (worker loop) and shared-memory export.
-from repro.sim.chaos import (
-    FAULT_ENV as FAULT_ENV,  # re-export: the env contract is part of the API
-    FAULT_STATE_ENV as FAULT_STATE_ENV,
-    SITE_SHM_EXPORT as _SITE_SHM_EXPORT,
-    fire as _chaos_fire,
-    fire_task as _maybe_inject_fault,
-)
+# Fault injection for drilling the harness itself is the seeded
+# ChaosPlan engine of :mod:`repro.sim.chaos` (docs/chaos.md); the pool's
+# one fault site is task entry in the worker loop.
+from repro.sim.chaos import SITE_TASK, fire as _chaos_fire
 
 
 # ---------------------------------------------------------------------------
@@ -113,62 +104,43 @@ def numa_nodes(sys_dir: Optional[Path] = None) -> list[list[int]]:
     return nodes or [_process_cpus()]
 
 
-def plan_affinity(
+def plan_placement(
     jobs: int,
     pin: bool,
     nodes: Optional[Sequence[Sequence[int]]] = None,
-) -> list[Optional[tuple[int, ...]]]:
-    """Per-worker CPU sets for *jobs* workers.
+) -> list[tuple[int, Optional[tuple[int, ...]]]]:
+    """Per-worker ``(node, cpus)`` for *jobs* workers, from one topology read.
 
-    Unpinned: every entry is ``None`` (inherit the parent's affinity).
-    Pinned: workers are placed round-robin across NUMA nodes — worker
-    *i* on node ``i % n_nodes`` — and the workers sharing one node split
-    its CPU list into disjoint contiguous slices, so each worker's
-    memory allocations and scheduling stay on one node (the
+    Unpinned: every entry is ``(-1, None)`` (inherit the parent's
+    affinity).  Pinned: workers are placed round-robin across NUMA
+    nodes — worker *i* on node ``i % n_nodes`` — and the workers sharing
+    one node split its CPU list into disjoint contiguous slices, so each
+    worker's memory allocations and scheduling stay on one node (the
     process-per-node recipe).  When a node has fewer CPUs than workers,
-    the whole node set is shared instead.
+    the whole node set is shared instead.  The node index labels the
+    slot's track in assembled traces and drill reports.
     """
     if jobs <= 0:
         raise ValueError("jobs must be positive")
     if not pin:
-        return [None] * jobs
+        return [(-1, None)] * jobs
     topo = [list(n) for n in (nodes if nodes is not None else numa_nodes())]
     topo = [n for n in topo if n] or [_process_cpus()]
-    per_node: dict[int, list[int]] = {}
+    plan: list[tuple[int, Optional[tuple[int, ...]]]] = []
     for worker in range(jobs):
-        per_node.setdefault(worker % len(topo), []).append(worker)
-    plan: list[Optional[tuple[int, ...]]] = [None] * jobs
-    for node_idx, workers in per_node.items():
-        cpus = topo[node_idx]
-        share = len(workers)
-        for rank, worker in enumerate(workers):
-            if share <= len(cpus):
-                lo = (rank * len(cpus)) // share
-                hi = ((rank + 1) * len(cpus)) // share
-                plan[worker] = tuple(cpus[lo:hi])
-            else:
-                plan[worker] = tuple(cpus)
+        node = worker % len(topo)
+        cpus = topo[node]
+        # Workers node, node + n_nodes, ... share this node's CPUs;
+        # this one is number *rank* among them.
+        share = len(range(node, jobs, len(topo)))
+        rank = worker // len(topo)
+        if share <= len(cpus):
+            lo = (rank * len(cpus)) // share
+            hi = ((rank + 1) * len(cpus)) // share
+            plan.append((node, tuple(cpus[lo:hi])))
+        else:
+            plan.append((node, tuple(cpus)))
     return plan
-
-
-def plan_nodes(
-    jobs: int,
-    pin: bool,
-    nodes: Optional[Sequence[Sequence[int]]] = None,
-) -> list[int]:
-    """The NUMA node each worker slot lands on (-1 when unpinned).
-
-    Mirrors the round-robin placement of :func:`plan_affinity` — worker
-    *i* on node ``i % n_nodes`` — so trace tracks and drill reports can
-    label slots with the node they actually ran on.
-    """
-    if jobs <= 0:
-        raise ValueError("jobs must be positive")
-    if not pin:
-        return [-1] * jobs
-    topo = [list(n) for n in (nodes if nodes is not None else numa_nodes())]
-    topo = [n for n in topo if n] or [_process_cpus()]
-    return [i % len(topo) for i in range(jobs)]
 
 
 def _apply_affinity(cpus: Optional[Sequence[int]]) -> None:
@@ -182,89 +154,20 @@ def _apply_affinity(cpus: Optional[Sequence[int]]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Result transport (pipe, escalating to shared memory for large payloads)
+# Wire protocol
 # ---------------------------------------------------------------------------
-
-#: Minimum pickled-result size (bytes) before the worker hands the
-#: payload over via POSIX shared memory instead of the pipe.  Set the
-#: env var to a smaller number to exercise the path, or to a negative
-#: number to disable shared-memory transport entirely.
-SHM_MIN_ENV = "REPRO_POOL_SHM_MIN"
-DEFAULT_SHM_MIN = 1 << 20
 
 #: Wire-protocol tags (parent -> worker).
 MSG_RUN = "run"
 MSG_STOP = "stop"
 #: Wire-protocol tags (worker -> parent).
-OK_INLINE = "ok"
-OK_SHM = "ok_shm"
+OK = "ok"
 ERR = "error"
 
 
-def shm_min_bytes() -> int:
-    try:
-        return int(os.environ.get(SHM_MIN_ENV, DEFAULT_SHM_MIN))
-    except ValueError:
-        return DEFAULT_SHM_MIN
-
-
-def _untrack_shm(name: str) -> None:
-    """Detach a segment from this process's resource tracker.
-
-    The worker creates the segment but the *parent* unlinks it; without
-    unregistering, the worker's resource tracker would try to clean it
-    up again at exit and log spurious warnings.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister("/" + name, "shared_memory")
-    except Exception:
-        pass
-
-
-def _export_payload(payload: bytes, shm_min: int, key: str = "") -> tuple:
-    """Worker side: wrap a pickled result for the pipe, or hand it over
-    via shared memory when it exceeds *shm_min* (fall back to the pipe
-    on any shared-memory failure)."""
-    if 0 <= shm_min <= len(payload):
-        try:
-            # Chaos hook inside the try: an injected shm failure takes
-            # the same fallback road a real one would.
-            _chaos_fire(_SITE_SHM_EXPORT, key)
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(1, len(payload))
-            )
-            shm.buf[:len(payload)] = payload
-            name = shm.name
-            shm.close()
-            _untrack_shm(name)
-            return (OK_SHM, name, len(payload))
-        except Exception:
-            pass
-    return (OK_INLINE, payload)
-
-
 def result_payload(message: tuple) -> bytes:
-    """Parent side: recover the pickled result bytes from an ``ok``
-    message, attaching/copying/unlinking the shared segment when the
-    worker used shared-memory transport."""
-    if message[0] == OK_INLINE:
-        return message[1]
-    _, name, size = message
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        return bytes(shm.buf[:size])
-    finally:
-        shm.close()
-        try:
-            shm.unlink()
-        except OSError:
-            pass
+    """Parent side: the pickled result bytes of an ``ok`` reply."""
+    return message[1]
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +175,7 @@ def result_payload(message: tuple) -> bytes:
 # ---------------------------------------------------------------------------
 
 def _worker_main(
-    conn, affinity: Optional[tuple[int, ...]], shm_min: int,
+    conn, affinity: Optional[tuple[int, ...]],
     trace_spec: Optional[dict] = None, inherited: Sequence = (),
 ) -> None:
     """Long-lived worker loop: pin, then serve tasks until ``stop``/EOF.
@@ -285,12 +188,15 @@ def _worker_main(
     that carries a trace context gets a ``task`` span in this worker's
     crash-safe spill file — the begin edge is flushed *before* the task
     (and before the chaos fault site), so a SIGKILL mid-kernel still
-    leaves the victim's span on disk for the flight recorder.
+    leaves the victim's span on disk for the flight recorder.  A traced
+    worker appends to every reply the number of span records its spill
+    dropped since the previous reply (see :meth:`WorkerPool._receive`).
     """
     for parent_end in inherited:
         parent_end.close()
     _apply_affinity(affinity)
     spill = None
+    reported_drops = 0
     while True:
         try:
             message = conn.recv()
@@ -314,10 +220,9 @@ def _worker_main(
             ctx = TraceContext.from_wire(wire).child("task")
             spill.span_begin(ctx, "task", key=key)
         try:
-            _maybe_inject_fault(key)
+            _chaos_fire(SITE_TASK, key)
             result = fn(*args)
-            payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-            reply = _export_payload(payload, shm_min, key)
+            reply = (OK, pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
         except BaseException as exc:  # report SystemExit and friends too
             reply = (
                 ERR, type(exc).__name__, str(exc), traceback.format_exc()
@@ -325,6 +230,10 @@ def _worker_main(
         if ctx is not None:
             status = "error" if reply[0] == ERR else "ok"
             spill.span_end(ctx, "task", key=key, status=status)
+        if trace_spec is not None:
+            dropped = spill.dropped if spill is not None else 0
+            reply += (dropped - reported_drops,)
+            reported_drops = dropped
         try:
             conn.send(reply)
         except Exception:
@@ -396,25 +305,19 @@ class WorkerPool:
     to :meth:`restart_worker` one that overran its deadline.
     """
 
-    def __init__(
-        self,
-        jobs: int,
-        pin: bool = False,
-        ctx=None,
-        shm_min: Optional[int] = None,
-        nodes: Optional[Sequence[Sequence[int]]] = None,
-        trace_dir=None,
-    ) -> None:
+    def __init__(self, jobs: int, pin: bool = False, trace_dir=None) -> None:
         if jobs <= 0:
             raise ValueError("pool size must be positive")
-        self._ctx = ctx if ctx is not None else _mp_context()
-        self._shm_min = shm_min if shm_min is not None else shm_min_bytes()
+        self._ctx = _mp_context()
         #: Spans directory passed to every worker (None = tracing off).
         self._trace_dir = str(trace_dir) if trace_dir is not None else None
-        node_plan = plan_nodes(jobs, pin, nodes)
+        #: Span records the workers' spills reported dropped (traced
+        #: pools only); a worker killed mid-task takes its last task's
+        #: count with it.
+        self.dropped_spans = 0
         self.workers = [
-            PoolWorker(index=i, affinity=plan, node=node_plan[i])
-            for i, plan in enumerate(plan_affinity(jobs, pin, nodes))
+            PoolWorker(index=i, affinity=cpus, node=node)
+            for i, (node, cpus) in enumerate(plan_placement(jobs, pin))
         ]
 
     def __len__(self) -> int:
@@ -439,8 +342,7 @@ class WorkerPool:
             ]
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, worker.affinity, self._shm_min, trace_spec,
-                  inherited),
+            args=(child_conn, worker.affinity, trace_spec, inherited),
             daemon=True,
         )
         process.start()
@@ -469,6 +371,15 @@ class WorkerPool:
         return True
 
     # -- events ---------------------------------------------------------
+
+    def _receive(self, worker: PoolWorker) -> tuple:
+        """One reply from *worker*, minus the drop count a traced worker
+        appends (credited to :attr:`dropped_spans`)."""
+        message = worker.conn.recv()
+        if self._trace_dir is not None:
+            self.dropped_spans += message[-1]
+            message = message[:-1]
+        return message
 
     def events(self, timeout: Optional[float]) -> list[tuple]:
         """Wait up to *timeout* seconds for worker activity.
@@ -500,7 +411,7 @@ class WorkerPool:
             if kind != "conn":
                 continue
             try:
-                message = worker.conn.recv()
+                message = self._receive(worker)
             except (EOFError, OSError):
                 worker.conn_dead = True  # crash-handled via the sentinel
                 continue
@@ -528,7 +439,7 @@ class WorkerPool:
                 try:
                     if worker.conn.poll(0):
                         worker.consecutive_deaths = 0
-                        out.append(("result", worker, worker.conn.recv()))
+                        out.append(("result", worker, self._receive(worker)))
                         delivered.add(worker.index)
                         continue
                 except (EOFError, OSError):
@@ -595,22 +506,15 @@ class WorkerPool:
 
 
 __all__ = [
-    "DEFAULT_SHM_MIN",
     "ERR",
-    "FAULT_ENV",
-    "FAULT_STATE_ENV",
     "MSG_RUN",
     "MSG_STOP",
-    "OK_INLINE",
-    "OK_SHM",
+    "OK",
     "PoolWorker",
-    "SHM_MIN_ENV",
     "WorkerPool",
     "kill_process",
     "numa_nodes",
     "parse_cpulist",
-    "plan_affinity",
-    "plan_nodes",
+    "plan_placement",
     "result_payload",
-    "shm_min_bytes",
 ]

@@ -28,10 +28,9 @@ parallelism or a timeout is requested.
 Isolated execution runs on the **persistent worker pool** of
 :mod:`repro.sim.pool`: ``jobs`` long-lived subprocesses amortize
 import/config cost across tasks, results come back over each worker's
-pipe (escalating to shared memory for large payloads), and a worker
-that dies or overruns its deadline only loses its own task — the pool
-respawns a replacement in its slot, so a dying worker can never take
-unrelated tasks down with it.  With ``pin=True`` the pool additionally
+pipe, and a worker that dies or overruns its deadline only loses its
+own task — the pool respawns a replacement in its slot, so a dying
+worker can never take unrelated tasks down with it.  With ``pin=True`` the pool additionally
 places workers round-robin across NUMA nodes with per-worker CPU
 pinning (see ``docs/runner.md``).
 """
@@ -58,14 +57,7 @@ from repro.obs.trace import (
 )
 from repro.sim import chaos
 from repro.sim.journal import Journal
-from repro.sim.pool import (
-    ERR,
-    FAULT_ENV as FAULT_ENV,  # re-export: the contract lives with the pool
-    FAULT_STATE_ENV as FAULT_STATE_ENV,
-    WorkerPool,
-    _maybe_inject_fault,
-    result_payload,
-)
+from repro.sim.pool import ERR, WorkerPool, result_payload
 
 #: Failure kinds carried by :class:`FailureReport`.
 KIND_EXCEPTION = "exception"  # the task raised
@@ -79,6 +71,9 @@ JOURNAL_DIR_ENV = "REPRO_JOURNAL_DIR"
 #: Upper bound on one event-wait while workers run; deadlines and
 #: backoff wake-ups shorten it, results interrupt it immediately.
 _MAX_WAIT_S = 0.5
+
+#: Fractional deterministic jitter added to each retry backoff delay.
+BACKOFF_JITTER = 0.1
 
 
 def default_journal_dir() -> Path:
@@ -114,8 +109,6 @@ class RunnerPolicy:
     #: First retry delay; doubles per retry up to :attr:`backoff_max_s`.
     backoff_base_s: float = 0.5
     backoff_max_s: float = 30.0
-    #: Fractional deterministic jitter added to each backoff delay.
-    backoff_jitter: float = 0.1
     #: Seed for the backoff jitter (kept deterministic for replay).
     seed: int = 0
     #: True: a failed point is recorded and the batch continues.
@@ -149,8 +142,6 @@ class RunnerPolicy:
             raise ValueError("runner retries cannot be negative")
         if self.backoff_base_s < 0 or self.backoff_max_s < 0:
             raise ValueError("backoff delays cannot be negative")
-        if self.backoff_jitter < 0:
-            raise ValueError("backoff jitter cannot be negative")
         if self.resume and self.journal_path is None:
             raise ValueError("resume requires a journal path")
         if self.max_slot_crashes <= 0:
@@ -166,7 +157,7 @@ class RunnerPolicy:
         base = min(
             self.backoff_max_s, self.backoff_base_s * (2 ** (attempt - 1))
         )
-        jitter = self.backoff_jitter * _stable_unit(
+        jitter = BACKOFF_JITTER * _stable_unit(
             f"{self.seed}:{key}:{attempt}"
         )
         return base * (1.0 + jitter)
@@ -509,7 +500,7 @@ def _run_inline(
                                  attempt=attempt, slot=-1)
             telem.attempt()
             try:
-                _maybe_inject_fault(task.key)
+                chaos.fire(chaos.SITE_TASK, task.key)
                 result = task.fn(*task.args)
             except Exception as exc:
                 if attempt <= policy.retries:
@@ -805,3 +796,7 @@ def _run_isolated(
     finally:
         pool.shutdown(force=stop)
         telem.pool_state(0, len(pending))
+        if spill is not None:
+            # Worker spills report their drops over the pipe; they land
+            # with the runner's own in ``trace.dropped_spans``.
+            spill.dropped += pool.dropped_spans

@@ -87,6 +87,48 @@ def _fresh_store_warnings(monkeypatch):
     monkeypatch.setattr(cas, "_warned", set())
 
 
+class ChaosArm:
+    """Arms :class:`repro.sim.chaos.ChaosPlan` s through the environment.
+
+    ``arm(*events)`` saves a plan, points ``REPRO_CHAOS_PLAN`` and
+    ``REPRO_CHAOS_STATE`` at it through monkeypatch (so forked pool
+    workers inherit it) and returns the state directory, which holds
+    the audit records.  Every call starts a fresh plan and state;
+    ``disarm()`` turns chaos off again.
+    """
+
+    def __init__(self, root, monkeypatch) -> None:
+        self._root = root
+        self._monkeypatch = monkeypatch
+        self._plans = 0
+
+    def arm(self, *events):
+        from repro.sim.chaos import PLAN_ENV, STATE_ENV, ChaosPlan
+
+        self._plans += 1
+        plan_path = self._root / f"plan-{self._plans}.json"
+        state_dir = self._root / f"state-{self._plans}"
+        ChaosPlan(seed=0, events=tuple(events)).save(plan_path)
+        self._monkeypatch.setenv(PLAN_ENV, str(plan_path))
+        self._monkeypatch.setenv(STATE_ENV, str(state_dir))
+        return state_dir
+
+    def disarm(self) -> None:
+        from repro.sim.chaos import PLAN_ENV, STATE_ENV
+
+        self._monkeypatch.delenv(PLAN_ENV, raising=False)
+        self._monkeypatch.delenv(STATE_ENV, raising=False)
+
+
+@pytest.fixture
+def chaos_env(tmp_path_factory, monkeypatch):
+    """A :class:`ChaosArm` whose plans live in their own temp directory."""
+    from repro.sim import chaos
+
+    yield ChaosArm(tmp_path_factory.mktemp("chaos"), monkeypatch)
+    chaos.uninstall()  # drop this process's memoized engine
+
+
 __all__ = [
     "GpuConfig",
     "LinkConfig",

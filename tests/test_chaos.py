@@ -21,7 +21,6 @@ from repro.sim import chaos
 from repro.sim.chaos import (
     DRILL_WORKLOADS,
     KIND_ENOSPC,
-    KIND_SHM_FAIL,
     KIND_SIDECAR_CORRUPT,
     KIND_SIDECAR_TRUNCATE,
     KIND_SIMCACHE_CORRUPT,
@@ -88,6 +87,14 @@ class TestPlan:
         with pytest.raises(ValueError):
             FaultEvent.from_payload({"kind": "meteor_strike"})
 
+    def test_times_round_trips_and_defaults_to_once(self):
+        event = FaultEvent(KIND_WORKER_EXCEPTION, "k", nth=2, times=3)
+        assert FaultEvent.from_payload(event.to_payload()) == event
+        assert FaultEvent.from_payload(
+            {"kind": KIND_WORKER_EXCEPTION}).times == 1
+        with pytest.raises(ValueError):
+            FaultEvent(KIND_WORKER_EXCEPTION, times=0)
+
     def test_every_kind_has_a_site(self):
         for kind, site in KIND_TO_SITE.items():
             assert isinstance(kind, str) and isinstance(site, str)
@@ -117,6 +124,25 @@ class TestEngineSemantics:
             first.fire(SITE_TASK, "k")
         second = ChaosEngine(first.plan, first.state_dir)
         second.fire(SITE_TASK, "k")  # no re-injection
+
+    def test_times_fires_on_consecutive_calls_across_engines(self, tmp_path):
+        # Two engines sharing a state directory model two processes;
+        # together they see exactly three firings, on calls 2, 3 and 4.
+        ev = FaultEvent(KIND_WORKER_EXCEPTION, "", nth=2, times=3)
+        first = _engine(tmp_path, ev)
+        second = ChaosEngine(first.plan, first.state_dir)
+        raised = []
+        for call, eng in enumerate((first, second) * 3, start=1):
+            try:
+                eng.fire(SITE_TASK, f"k{call}")
+            except ChaosInjectedError:
+                raised.append(call)
+        assert raised == [2, 3, 4]
+        records = ChaosEngine.injected(first.state_dir)
+        assert [(r["event"], r["firing"], r["tick"], r["key"])
+                for r in records] == [
+            (0, 0, 2, "k2"), (0, 1, 3, "k3"), (0, 2, 4, "k4"),
+        ]
 
     def test_fires_late_if_claimer_died(self, tmp_path):
         # A process that claims tick nth and dies before injecting must
@@ -177,14 +203,6 @@ class TestFaultKinds:
         # The append never happened: injection precedes the write.
         assert journal.records() == []
 
-    def test_shm_fail_falls_back_to_pipe(self, tmp_path):
-        from repro.sim.pool import OK_INLINE, _export_payload
-
-        chaos.install(_engine(tmp_path, FaultEvent(KIND_SHM_FAIL, "", nth=1)))
-        payload = b"x" * 64
-        message = _export_payload(payload, shm_min=0, key="k")
-        assert message == (OK_INLINE, payload)  # fell back, data intact
-
     @pytest.mark.parametrize(
         "kind", [KIND_SIDECAR_CORRUPT, KIND_SIDECAR_TRUNCATE]
     )
@@ -244,7 +262,7 @@ class TestHookPlumbing:
         assert engine is not None and engine.plan == plan
         assert chaos.active() is engine  # memoized on the env values
         with pytest.raises(ChaosInjectedError):
-            chaos.fire_task("k")
+            chaos.fire(SITE_TASK, "k")
 
     def test_unreadable_plan_leaves_chaos_off(self, tmp_path, monkeypatch):
         bad = tmp_path / "plan.json"
@@ -252,7 +270,7 @@ class TestHookPlumbing:
         monkeypatch.setenv(PLAN_ENV, str(bad))
         monkeypatch.setenv(STATE_ENV, str(tmp_path / "state"))
         assert chaos.active() is None
-        chaos.fire_task("k")  # still a no-op
+        chaos.fire(SITE_TASK, "k")  # still a no-op
 
     def test_attach_registry_fills_missing_only(self, tmp_path):
         eng = _engine(tmp_path, FaultEvent(KIND_WORKER_EXCEPTION, "", nth=1))
@@ -263,16 +281,23 @@ class TestHookPlumbing:
         chaos.attach_registry(MetricsRegistry())
         assert eng.registry is registry  # first one sticks
 
-    def test_legacy_env_fault_fail_and_flaky(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(chaos.FAULT_ENV, "fail:victim")
-        chaos.maybe_inject_env_fault("bystander")
-        with pytest.raises(RuntimeError):
-            chaos.maybe_inject_env_fault("the-victim-key")
-        monkeypatch.setenv(chaos.FAULT_ENV, "flaky:")
-        monkeypatch.setenv(chaos.FAULT_STATE_ENV, str(tmp_path))
-        with pytest.raises(RuntimeError):
-            chaos.maybe_inject_env_fault("k")
-        chaos.maybe_inject_env_fault("k")  # second attempt passes
+    def test_env_armed_plan_reaches_pool_workers(self, chaos_env):
+        # Forked workers inherit the armed plan: the victim's attempt
+        # raises in its worker, the bystander is untouched.
+        from repro.sim.runner import KIND_EXCEPTION, RunnerPolicy, Task, \
+            run_tasks
+
+        state = chaos_env.arm(FaultEvent(KIND_WORKER_EXCEPTION, "victim"))
+        batch = run_tasks(
+            [Task(key=k, fn=abs, args=(-1,)) for k in ("victim", "ok")],
+            RunnerPolicy(jobs=2),
+        )
+        assert batch.failures["victim"].kind == KIND_EXCEPTION
+        assert batch.failures["victim"].exception_type == \
+            "ChaosInjectedError"
+        assert batch.results == {"ok": 1}
+        (rec,) = ChaosEngine.injected(state)
+        assert rec["key"] == "victim" and rec["pid"] != os.getpid()
 
 
 _KILL_CHILD = """

@@ -146,6 +146,21 @@ class TestCliCommandsDocumented:
         assert checker.check_cli_commands_documented(tmp_path) == []
 
 
+class TestEnvVarsLive:
+    def test_variable_no_source_names_is_flagged(self, checker, tmp_path):
+        src = tmp_path / "src" / "repro"
+        src.mkdir(parents=True)
+        (src / "cache.py").write_text('CACHE_ENV = "REPRO_CACHE_DIR"\n')
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "a.md").write_text(
+            "set `REPRO_CACHE_DIR=/tmp/c` or `REPRO_GONE_KNOB`\n")
+        (tmp_path / "CHANGES.md").write_text("removed `REPRO_OLD_KNOB`\n")
+        problems = checker.check_env_vars_live(tmp_path)
+        assert len(problems) == 1
+        assert problems[0].startswith("docs/a.md:")
+        assert "`REPRO_GONE_KNOB`" in problems[0]
+
+
 class TestRealRepo:
     def test_repository_docs_are_clean(self, checker):
         assert checker.run_checks(REPO_ROOT) == []

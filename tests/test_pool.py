@@ -1,6 +1,6 @@
 """Tests for the persistent worker pool (sim/pool.py) and its runner
-integration: NUMA planning, shared-memory transport, worker reuse,
-crash containment, metric gauges, and bit-identical pooled execution.
+integration: NUMA planning, pipe transport, worker reuse, crash
+containment, metric gauges, and bit-identical pooled execution.
 
 Worker functions must be top-level so they survive pickling into
 worker subprocesses.
@@ -20,22 +20,18 @@ from pathlib import Path
 import pytest
 
 from repro.obs.metrics import default_registry
+from repro.sim.chaos import KIND_WORKER_EXCEPTION, KIND_WORKER_KILL, \
+    FaultEvent
 from repro.sim.journal import Journal
 from repro.sim.pool import (
-    DEFAULT_SHM_MIN,
     ERR,
-    OK_INLINE,
-    OK_SHM,
-    SHM_MIN_ENV,
+    OK,
     WorkerPool,
-    _export_payload,
     numa_nodes,
     parse_cpulist,
-    plan_affinity,
-    result_payload,
-    shm_min_bytes,
+    plan_placement,
 )
-from repro.sim.runner import FAULT_ENV, RunnerPolicy, Task, run_tasks
+from repro.sim.runner import RunnerPolicy, Task, run_tasks
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -98,71 +94,69 @@ class TestNumaNodes:
 class TestPlanAffinity:
     NODES = [[0, 1, 2, 3], [4, 5, 6, 7]]
 
+    @staticmethod
+    def _cpus(jobs, nodes):
+        return [cpus for _, cpus in plan_placement(jobs, True, nodes)]
+
     def test_unpinned_inherits(self):
-        assert plan_affinity(3, pin=False) == [None, None, None]
+        assert plan_placement(3, pin=False) == [(-1, None)] * 3
 
     def test_round_robin_disjoint_slices(self):
-        plan = plan_affinity(4, pin=True, nodes=self.NODES)
+        plan = self._cpus(4, self.NODES)
         # Workers 0/2 split node0, workers 1/3 split node1.
         assert plan == [(0, 1), (4, 5), (2, 3), (6, 7)]
 
     def test_one_worker_takes_whole_node(self):
-        assert plan_affinity(2, pin=True, nodes=self.NODES) == [
+        assert self._cpus(2, self.NODES) == [
             (0, 1, 2, 3),
             (4, 5, 6, 7),
         ]
 
     def test_oversubscribed_node_is_shared(self):
-        plan = plan_affinity(3, pin=True, nodes=[[0]])
-        assert plan == [(0,), (0,), (0,)]
+        assert self._cpus(3, [[0]]) == [(0,), (0,), (0,)]
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):
-            plan_affinity(0, pin=True)
+            plan_placement(0, pin=True)
+
+    def test_node_labels_follow_round_robin(self):
+        nodes = [node for node, _ in plan_placement(5, True, self.NODES)]
+        assert nodes == [0, 1, 0, 1, 0]
+        # Each label names the node whose CPUs the slot was given.
+        for node, cpus in plan_placement(5, True, self.NODES):
+            assert set(cpus) <= set(self.NODES[node])
+
+    def test_pool_reads_topology_once(self, monkeypatch):
+        from repro.sim import pool as pool_mod
+
+        reads = []
+        monkeypatch.setattr(
+            pool_mod, "numa_nodes", lambda: reads.append(1) or self.NODES
+        )
+        pool = WorkerPool(jobs=3, pin=True)
+        assert len(reads) == 1
+        assert [w.node for w in pool.workers] == [0, 1, 0]
+        assert [w.affinity for w in pool.workers] == [
+            (0, 1), (4, 5, 6, 7), (2, 3),
+        ]
 
 
 # ---------------------------------------------------------------------------
 # Result transport
 # ---------------------------------------------------------------------------
 
-class TestShmTransport:
-    def test_small_payload_stays_inline(self):
-        msg = _export_payload(b"tiny", shm_min=1024)
-        assert msg[0] == OK_INLINE
-        assert result_payload(msg) == b"tiny"
-
-    def test_large_payload_round_trips_via_shm(self):
-        payload = os.urandom(4096)
-        msg = _export_payload(payload, shm_min=1)
-        assert msg[0] == OK_SHM
-        assert result_payload(msg) == payload
-
-    def test_negative_threshold_disables_shm(self):
-        msg = _export_payload(b"x" * 4096, shm_min=-1)
-        assert msg[0] == OK_INLINE
-
-    def test_threshold_env(self, monkeypatch):
-        monkeypatch.delenv(SHM_MIN_ENV, raising=False)
-        assert shm_min_bytes() == DEFAULT_SHM_MIN
-        monkeypatch.setenv(SHM_MIN_ENV, "123")
-        assert shm_min_bytes() == 123
-        monkeypatch.setenv(SHM_MIN_ENV, "not-a-number")
-        assert shm_min_bytes() == DEFAULT_SHM_MIN
-
-    def test_end_to_end_shm_results(self, monkeypatch):
-        monkeypatch.setenv(SHM_MIN_ENV, "1")  # every result goes via shm
+class TestPipeTransport:
+    def test_large_result_round_trips_over_the_pipe(self):
+        # 4 MiB is larger than any simulated point's pickled result by
+        # two orders of magnitude and many times the pipe buffer.
+        size = 4 << 20
         batch = run_tasks(
-            [Task(key="big", fn=_big, args=(2_000_000,))],
+            [Task(key=k, fn=_big, args=(size,)) for k in ("big1", "big2")],
             RunnerPolicy(jobs=2),
         )
         assert batch.ok
-        assert batch.results["big"] == b"\xab" * 2_000_000
-
-    def test_end_to_end_shm_disabled(self, monkeypatch):
-        monkeypatch.setenv(SHM_MIN_ENV, "-1")
-        batch = run_tasks(_tasks(_ok, ["a", "b"]), RunnerPolicy(jobs=2))
-        assert batch.ok
-        assert batch.results == {"a": 2, "b": 2}
+        assert batch.results == {"big1": b"\xab" * size,
+                                 "big2": b"\xab" * size}
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +171,18 @@ class TestWorkerPool:
         assert batch.ok
         assert len(set(batch.results.values())) <= 2
 
-    def test_crashed_worker_is_respawned_and_batch_completes(self, monkeypatch):
+    def test_crashed_worker_is_respawned_and_batch_completes(self,
+                                                              chaos_env):
         # The victim kills its worker; with more tasks than workers the
         # batch can only complete if the dead slot is respawned.
-        monkeypatch.setenv(FAULT_ENV, "crash:victim")
+        chaos_env.arm(FaultEvent(KIND_WORKER_KILL, "victim"))
         keys = ["victim"] + [f"ok{i}" for i in range(6)]
         batch = run_tasks(_tasks(_ok, keys), RunnerPolicy(jobs=2))
         assert set(batch.failures) == {"victim"}
         assert len(batch.results) == 6
 
-    def test_dead_pipe_surfaces_exactly_one_death_event(self, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV, "crash:")
+    def test_dead_pipe_surfaces_exactly_one_death_event(self, chaos_env):
+        chaos_env.arm(FaultEvent(KIND_WORKER_KILL, ""))
         pool = WorkerPool(jobs=1)
         pool.start()
         worker = pool.workers[0]
@@ -311,16 +306,16 @@ class TestPoolPolicyParity:
         # cancelled; nothing was silently dropped.
         assert set(batch.cancelled) | set(batch.results) == set("bcdef")
 
-    def test_resume_skips_completed_points(self, tmp_path, monkeypatch):
+    def test_resume_skips_completed_points(self, tmp_path, chaos_env):
         journal = tmp_path / "j.jsonl"
-        monkeypatch.setenv(FAULT_ENV, "fail:c")
+        chaos_env.arm(FaultEvent(KIND_WORKER_EXCEPTION, "c"))
         first = run_tasks(
             _tasks(_ok, ["a", "b", "c"]),
             RunnerPolicy(jobs=2, journal_path=journal),
         )
         assert set(first.failures) == {"c"}
 
-        monkeypatch.delenv(FAULT_ENV)
+        chaos_env.disarm()
         second = run_tasks(
             _tasks(_ok, ["a", "b", "c"], arg=7),
             RunnerPolicy(jobs=2, journal_path=journal, resume=True),
@@ -396,21 +391,54 @@ class TestSidecarRace:
 # ---------------------------------------------------------------------------
 
 class TestWireProtocol:
-    def test_exception_reply_shape(self):
-        pool = WorkerPool(jobs=1)
-        pool.start()
-        worker = pool.workers[0]
-        assert pool.dispatch(worker, "boom", _boom, (1,))
-        message = None
+    @staticmethod
+    def _reply(pool, key, fn, span=None):
+        """Run one task on slot 0 and return its reply message."""
+        assert pool.dispatch(pool.workers[0], key, fn, (1,), span=span)
         for _ in range(100):
             events = pool.events(timeout=0.2)
             if events:
                 kind, _, message = events[0]
                 assert kind == "result"
-                break
-        assert message is not None
-        tag, exc_type, text, tb = message
+                return message
+        raise AssertionError("no reply from the worker")
+
+    def test_ok_reply_shape(self):
+        pool = WorkerPool(jobs=1)
+        pool.start()
+        try:
+            tag, payload = self._reply(pool, "ok", _ok)
+        finally:
+            pool.shutdown()
+        assert tag == OK
+        assert pickle.loads(payload) == 2
+
+    def test_exception_reply_shape(self):
+        pool = WorkerPool(jobs=1)
+        pool.start()
+        try:
+            tag, exc_type, text, tb = self._reply(pool, "boom", _boom)
+        finally:
+            pool.shutdown()
         assert tag == ERR
         assert exc_type == "ValueError"
         assert "deliberate" in text and "deliberate" in tb
-        pool.shutdown()
+
+    def test_traced_reply_carries_worker_drops(self, tmp_path):
+        # A traced worker appends its spill's drop count to the reply;
+        # the pool strips it, so callers see the same two shapes.
+        from repro.obs.trace import TraceContext
+
+        spans = tmp_path / "spans"
+        spans.write_text("a file where the spans directory should be")
+        pool = WorkerPool(jobs=1, trace_dir=spans)
+        pool.start()
+        wire = TraceContext.mint(seed="drops").to_wire()
+        try:
+            ok = self._reply(pool, "ok", _ok, span=wire)
+            err = self._reply(pool, "boom", _boom, span=wire)
+        finally:
+            pool.shutdown()
+        assert ok[0] == OK and len(ok) == 2
+        assert err[0] == ERR and len(err) == 4
+        assert pool.dropped_spans == 4  # begin and end edge of each task

@@ -22,6 +22,7 @@ from repro.serve import ServeClient, ThreadedServer
 from repro.serve.jobs import JobRequest, RequestError
 from repro.serve.routes import ROUTES, match_route, methods_for
 from repro.serve.store import ResultStore, cas_key
+from repro.sim.chaos import KIND_WORKER_KILL, FaultEvent
 
 WORKLOAD = "Lulesh"
 OTHER_WORKLOADS = ("XSBench", "AMG", "CoMD", "MCB", "HPGMG")
@@ -577,10 +578,11 @@ class TestIntegration:
             assert offline.status == 200
 
     def test_worker_crash_surfaces_failure_report(self, tmp_path,
-                                                  monkeypatch):
-        # SIGKILL the pool worker at task entry (legacy chaos hook);
-        # pool_jobs=2 keeps the crash in an isolated worker process.
-        monkeypatch.setenv("REPRO_INJECT_FAULT", f"crash:{WORKLOAD}")
+                                                  chaos_env):
+        # SIGKILL the pool worker at task entry (one attempt: retries
+        # default to 0); pool_jobs=2 keeps the crash in an isolated
+        # worker process.
+        chaos_env.arm(FaultEvent(KIND_WORKER_KILL, WORKLOAD))
         with ThreadedServer(tmp_path, pool_jobs=2) as srv:
             c = ServeClient(port=srv.port)
             r = c.submit("numa-gpu", workloads=[WORKLOAD],

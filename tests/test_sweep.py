@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.config import ConfigError, LinkConfig, baseline_config
-from repro.sim.runner import FAULT_ENV, KIND_CRASH, RunnerPolicy
+from repro.sim.chaos import KIND_WORKER_KILL, FaultEvent
+from repro.sim.runner import KIND_CRASH, RunnerPolicy
 from repro.sim.sweep import point_key, reprice_sweep, run_sweep
 from repro.workloads.base import WorkloadSpec
 
@@ -84,14 +85,14 @@ class TestFaultTolerantSweep:
             assert parallel.points[key].time_s == point.time_s
             assert parallel.points[key].result == point.result
 
-    def test_injected_crash_fails_only_that_point(self, monkeypatch, tmp_path):
+    def test_injected_crash_fails_only_that_point(self, chaos_env, tmp_path):
         """Acceptance: a crashed worker yields a completed SweepResult
         with a FailureReport for exactly the affected point, and a
         resume pass re-runs only that point."""
         journal = tmp_path / "sweep.jsonl"
         abbr = WL_NAMES[0].abbr
         victim = point_key("rdc", 0.5 * GB, abbr)
-        monkeypatch.setenv(FAULT_ENV, f"crash:{victim}")
+        chaos_env.arm(FaultEvent(KIND_WORKER_KILL, victim))
         sweep = self._run(RunnerPolicy(jobs=2, journal_path=journal))
 
         assert not sweep.ok
@@ -103,7 +104,7 @@ class TestFaultTolerantSweep:
         assert sweep.time(2 * GB, abbr) > 0
 
         # Clear the fault; resume re-runs only the crashed point.
-        monkeypatch.delenv(FAULT_ENV)
+        chaos_env.disarm()
         resumed = self._run(
             RunnerPolicy(jobs=2, journal_path=journal, resume=True)
         )

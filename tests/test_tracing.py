@@ -32,6 +32,7 @@ from repro.obs.trace import (
     spans_dir_for,
     worker_spill_name,
 )
+from repro.sim.chaos import KIND_WORKER_KILL, FaultEvent
 from repro.sim.runner import RunnerPolicy, Task, run_tasks
 
 
@@ -214,6 +215,21 @@ class TestAssemble:
         )
         assert registry.get("trace.spill_bytes").total() > 0
 
+    def test_worker_drops_are_counted(self, tmp_path):
+        # A plain file where the spans directory belongs: every span
+        # record is lost, the runner's 4 and the pool workers' 4 alike.
+        journal = tmp_path / "batch.jsonl"
+        spans_dir_for(journal).write_text("")
+        registry = default_registry()
+        batch = run_tasks(
+            _tasks(("a", "b")),
+            RunnerPolicy(jobs=2, journal_path=journal),
+            registry=registry,
+            trace=TraceContext.mint(seed="drops"),
+        )
+        assert batch.ok
+        assert registry.get("trace.dropped_spans").value() == 8
+
     def test_trace_id_filters_a_shared_journal(self, tmp_path):
         journal = tmp_path / "batch.jsonl"
         first = TraceContext.mint(seed="one")
@@ -263,9 +279,9 @@ class TestAssemble:
 # ---------------------------------------------------------------------------
 
 class TestCrashSpillIntegrity:
-    def _crashed_batch(self, tmp_path, monkeypatch):
+    def _crashed_batch(self, tmp_path, chaos_env):
         """A pooled traced batch whose 'victim' task SIGKILLs its worker."""
-        monkeypatch.setenv("REPRO_INJECT_FAULT", "crash:victim")
+        chaos_env.arm(FaultEvent(KIND_WORKER_KILL, "victim"))
         journal = tmp_path / "batch.jsonl"
         trace = TraceContext.mint(seed="crash")
         batch = run_tasks(
@@ -277,8 +293,8 @@ class TestCrashSpillIntegrity:
         assert set(batch.results) == {"ok-1", "ok-2"}
         return journal, trace
 
-    def test_victim_spans_survive_untorn(self, tmp_path, monkeypatch):
-        journal, trace = self._crashed_batch(tmp_path, monkeypatch)
+    def test_victim_spans_survive_untorn(self, tmp_path, chaos_env):
+        journal, trace = self._crashed_batch(tmp_path, chaos_env)
         records, damaged = read_spans_dir(spans_dir_for(journal))
         # the kill may tear the tail, never the interior
         assert damaged == 0
@@ -293,8 +309,8 @@ class TestCrashSpillIntegrity:
         assert span["trace"] == trace.trace_id
 
     def test_assembled_timeline_flags_the_victim(self, tmp_path,
-                                                 monkeypatch):
-        journal, _ = self._crashed_batch(tmp_path, monkeypatch)
+                                                 chaos_env):
+        journal, _ = self._crashed_batch(tmp_path, chaos_env)
         doc = assemble_trace(journal)
         assert doc["otherData"]["unfinished_spans"] >= 1
         unfinished = [e for e in doc["traceEvents"]
@@ -303,8 +319,8 @@ class TestCrashSpillIntegrity:
         assert all(e["args"]["unfinished"] is True for e in unfinished)
 
     def test_flight_recorder_names_the_victim_slot(self, tmp_path,
-                                                   monkeypatch):
-        journal, _ = self._crashed_batch(tmp_path, monkeypatch)
+                                                   chaos_env):
+        journal, _ = self._crashed_batch(tmp_path, chaos_env)
         from repro.sim.chaos import DrillReport, _flight_record
 
         report = DrillReport(seed=0, system="numa-gpu",
@@ -321,8 +337,8 @@ class TestCrashSpillIntegrity:
         assert f"victim slot {victim['slot']:02d}" in rendered
 
     def test_interior_damage_is_an_invariant_violation(self, tmp_path,
-                                                       monkeypatch):
-        journal, _ = self._crashed_batch(tmp_path, monkeypatch)
+                                                       chaos_env):
+        journal, _ = self._crashed_batch(tmp_path, chaos_env)
         from repro.sim.chaos import DrillReport, _flight_record
 
         spans_dir = spans_dir_for(journal)

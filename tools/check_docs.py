@@ -29,6 +29,13 @@ Two families of checks over the repository's Markdown:
    so this file needs no simulator imports) must be mentioned in
    ``README.md`` as `` `repro <name>` `` or ``python -m repro <name>``,
    so new subcommands can't silently miss the quick-start.
+6. **Environment variables** — every backticked ``REPRO_*`` variable in
+   ``docs/``, ``README.md`` or ``DESIGN.md`` must be named by some file
+   under ``src/``, so a deleted knob cannot linger in the docs.
+
+Root-level Markdown outside :data:`ROOT_DOCS` holds change records and
+paper notes, which name removed metrics and quote Python attribute paths
+on purpose; only their links are checked.
 
 Metric names are stable contracts (see docs/metrics.md); this checker
 is what enforces the contract in both directions.  Token resolution is
@@ -60,6 +67,10 @@ from repro.serve.routes import ROUTE_NAMES, ROUTES  # noqa: E402
 SKIP_DIRS = {".git", ".simcache", ".repro-journal", "results",
              "node_modules", "__pycache__"}
 
+#: Root-level Markdown that documents the live program; every other
+#: root-level file is a record or note and is checked for links only.
+ROOT_DOCS = {"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: Backticked endpoint references: `` `GET /jobs/<id>/result` ``.
@@ -72,6 +83,10 @@ _RESOLVER = MetricNameResolver(SPECS, EVENT_KINDS)
 
 #: A rule-table row in docs/lint.md: ``| DET004 | error | ... |``.
 _RULE_ROW_RE = re.compile(r"^\|\s*([A-Z]{3,5}\d{3})\s*\|", re.MULTILINE)
+
+#: One inline code span, and a repository environment variable in it.
+_CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+_ENV_VAR_RE = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 
 
 def markdown_files(root: Path) -> list[Path]:
@@ -228,16 +243,40 @@ def check_cli_commands_documented(root: Path) -> list[str]:
     return problems
 
 
+def check_env_vars_live(root: Path) -> list[str]:
+    """Backticked ``REPRO_*`` variables that no file under src/ names."""
+    named: set[str] = set()
+    for path in sorted((root / "src").rglob("*.py")):
+        named.update(_ENV_VAR_RE.findall(path.read_text(encoding="utf-8")))
+    docs = [root / "README.md", root / "DESIGN.md",
+            *sorted((root / "docs").rglob("*.md"))]
+    problems = []
+    for md in docs:
+        if not md.exists():
+            continue
+        spans = _CODE_SPAN_RE.findall(md.read_text(encoding="utf-8"))
+        for var in sorted({v for span in spans
+                           for v in _ENV_VAR_RE.findall(span)} - named):
+            problems.append(
+                f"{md.relative_to(root)}: environment variable `{var}` "
+                f"is named by no file under src/"
+            )
+    return problems
+
+
 def run_checks(root: Path) -> list[str]:
     problems: list[str] = []
     for md in markdown_files(root):
         problems.extend(check_links(md, root))
+        if md.parent == root and md.name not in ROOT_DOCS:
+            continue
         problems.extend(check_metric_tokens(md, root))
         problems.extend(check_endpoint_tokens(md, root))
     problems.extend(check_reference_complete(root))
     problems.extend(check_routes_documented(root))
     problems.extend(check_lint_rules_documented(root))
     problems.extend(check_cli_commands_documented(root))
+    problems.extend(check_env_vars_live(root))
     return problems
 
 
